@@ -2,12 +2,12 @@
 multi-view 3D reconstruction."""
 
 from .config import ExperimentConfig, camera_study_config, load_config, server_study_config
-from .controller import FrameRecord, run_episode, run_grid
+from .controller import run_episode, run_grid
 from .disruption import (CameraTrace, DisruptionParams, ServerLatencyTrace,
                          generate_camera_trace, generate_server_trace, load_traces, save_traces)
 from .environment import FrameOutcome, LatencyModel, QualityModel, step
-from .metrics import (RewardWeights, RunStats, Thresholds, camera_reward, latency_score,
-                      quality_score, reliability, server_reward)
+from .metrics import (FrameLog, FrameRecord, RewardWeights, RunStats, Thresholds, camera_reward,
+                      latency_score, quality_score, reliability, server_reward)
 from .policies import ActionSpace, AgentParams, QTable, enumerate_actions, epsilon_greedy, q_update
 
 __version__ = "0.1.0"
@@ -18,6 +18,7 @@ __all__ = [
     "CameraTrace",
     "DisruptionParams",
     "ExperimentConfig",
+    "FrameLog",
     "FrameOutcome",
     "FrameRecord",
     "LatencyModel",

@@ -103,12 +103,12 @@ def cmd_run(args) -> int:
     camera_policy = build_camera_policy(config, space)
     server_policy = build_server_policy(config)
     camera_trace, server_trace = build_traces(config)
-    stats, records = run_episode(
+    stats, log = run_episode(
         config, camera_trace=camera_trace, server_trace=server_trace,
         camera_policy=camera_policy, server_policy=server_policy,
     )
 
-    write_frame_log(records, out / FRAME_LOG_FILE)
+    write_frame_log(log, out / FRAME_LOG_FILE)
     write_summary(stats, out / SUMMARY_FILE)
     _snapshot_qtable(camera_policy, out / CAMERA_QTABLE_FILE)
     _snapshot_qtable(server_policy, out / SERVER_QTABLE_FILE)

@@ -14,7 +14,7 @@ import yaml
 
 from .disruption import DisruptionParams
 from .environment import LatencyModel, mask_from_str
-from .errors import ConfigError
+from .errors import ConfigError, require_count, require_finite
 from .metrics import RewardWeights, Thresholds
 from .policies import AgentParams
 
@@ -50,6 +50,12 @@ class QualitySpec:
     def validate(self) -> None:
         if self.mode not in ("synthetic", "trace"):
             raise ConfigError(f"quality.mode must be 'synthetic' or 'trace', got {self.mode!r}")
+        for name in ("noise_sd", "ceiling", "curve", "midpoint"):
+            require_finite(f"quality.{name}", getattr(self, name))
+        for weight in self.camera_weights or ():
+            require_finite("quality.camera_weights", weight)
+        for key, value in (self.table or {}).items():
+            require_finite(f"quality.table[{key!r}]", value)
         if self.noise_sd < 0:
             raise ConfigError(f"quality.noise_sd must be >= 0, got {self.noise_sd}")
         if self.mode == "trace" and not self.trace_path:
@@ -79,6 +85,11 @@ class ExperimentConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
 
     def validate(self) -> None:
+        for name in ("n_frames", "n_cameras", "n_servers", "k_min", "k_max", "seed",
+                     "feedback_delay_frames"):
+            require_count(name, getattr(self, name))
+        for name in ("bandit_epsilon", "ewma_beta"):
+            require_finite(name, getattr(self, name))
         for name in ("n_frames", "n_cameras", "n_servers"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")

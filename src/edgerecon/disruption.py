@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, TraceFormatError, TraceSchemaError
+from .errors import ConfigError, TraceFormatError, TraceSchemaError, require_count, require_finite
 
 DEFAULT_CORRELATION_GROUPS = ((0, 1), (2, 4), (3,))
 
@@ -107,6 +107,17 @@ class DisruptionParams:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("n_frames", "n_cameras", "n_servers", "n_bump_events", "mean_bump_len",
+                     "n_spike_events", "mean_spike_len", "seed"):
+            require_count(f"disruption.{name}", getattr(self, name))
+        for name in ("disruption_threshold", "baseline_failure_prob", "bump_failure_prob",
+                     "server_baseline_ms", "server_jitter_ms"):
+            require_finite(f"disruption.{name}", getattr(self, name))
+        if len(self.spike_range_ms) != 2:
+            raise ConfigError(f"disruption.spike_range_ms must hold two bounds, "
+                              f"got {self.spike_range_ms!r}")
+        for bound in self.spike_range_ms:
+            require_finite("disruption.spike_range_ms", bound)
         for name in ("n_frames", "n_cameras", "n_servers", "mean_bump_len", "mean_spike_len"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")

@@ -10,13 +10,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .errors import ConfigError, TraceFormatError, TraceSchemaError
-from .metrics import Thresholds, reliability
-
-Mask = tuple[int, ...]
+from .errors import ConfigError, TraceFormatError, TraceSchemaError, require_finite
+from .masks import Mask, mask_from_str, mask_to_int, mask_to_str, popcount, subsets
+from .metrics import FrameOutcome, Thresholds, reliability
 
 # Two overlapping views are the hard floor for triangulating any geometry.
 MIN_VIEWS = 2
@@ -27,20 +27,6 @@ DEFAULT_QUALITY_CURVE = 2.6
 DEFAULT_QUALITY_MIDPOINT = 1.72
 
 
-def popcount(mask: Mask) -> int:
-    return sum(mask)
-
-
-def mask_to_str(mask: Mask) -> str:
-    return "".join(str(b) for b in mask)
-
-
-def mask_from_str(text: str) -> Mask:
-    if not text or any(ch not in "01" for ch in text):
-        raise ValueError(f"mask string must be nonempty 0/1 characters, got {text!r}")
-    return tuple(int(ch) for ch in text)
-
-
 def apply_availability(mask: Mask, availability_row) -> Mask:
     """Drop the cameras that are disrupted this frame."""
     return tuple(int(b) & int(a) for b, a in zip(mask, availability_row))
@@ -48,12 +34,7 @@ def apply_availability(mask: Mask, availability_row) -> Mask:
 
 def all_masks_with_min_views(n_cameras: int) -> list[Mask]:
     """Every subset with at least MIN_VIEWS cameras, in bitstring order."""
-    masks = []
-    for value in range(2 ** n_cameras):
-        bits = tuple((value >> (n_cameras - 1 - i)) & 1 for i in range(n_cameras))
-        if sum(bits) >= MIN_VIEWS:
-            masks.append(bits)
-    return masks
+    return subsets(n_cameras, MIN_VIEWS, n_cameras)
 
 
 def synthetic_quality_table(n_cameras: int, camera_weights=None,
@@ -85,33 +66,56 @@ def synthetic_quality_table(n_cameras: int, camera_weights=None,
         raise ConfigError("quality ceiling and curve must be > 0")
     table = {}
     for mask in all_masks_with_min_views(n_cameras):
-        s = sum(w for w, b in zip(camera_weights, mask) if b)
+        s = sum(compress(camera_weights, mask))
         table[mask] = ceiling / (1.0 + math.exp(-curve * (s - midpoint)))
     return table
 
 
-def _check_monotone(table: dict[Mask, float], n_cameras: int) -> None:
-    for mask, base in table.items():
-        if base < 0:
-            raise ConfigError(f"quality table value for {mask_to_str(mask)} is negative")
-        for cam in range(n_cameras):
-            if mask[cam]:
-                continue
-            grown = tuple(1 if i == cam else b for i, b in enumerate(mask))
-            if grown in table and table[grown] < base - 1e-9:
-                raise ConfigError(
-                    f"quality table not monotone: {mask_to_str(grown)} < {mask_to_str(mask)}"
-                )
+def _by_mask(mapping: dict[Mask, object], n_cameras: int) -> list:
+    """The mapping re-keyed by integer mask: a list with None where a mask is absent."""
+    dense = [None] * (1 << n_cameras)
+    for mask, value in mapping.items():
+        if len(mask) != n_cameras:
+            raise ConfigError(f"quality mask {mask_to_str(mask)} does not have {n_cameras} bits")
+        dense[mask_to_int(mask)] = value
+    return dense
+
+
+def _check_monotone(values: np.ndarray, n_cameras: int) -> None:
+    """values[mask] is the base quality of each integer mask, NaN where the table has none."""
+    def name(mask) -> str:
+        return format(int(mask), f"0{n_cameras}b")
+
+    present = ~np.isnan(values)
+    negative = np.flatnonzero(present & (values < 0))
+    if negative.size:
+        raise ConfigError(f"quality table value for {name(negative[0])} is negative")
+    masks = np.arange(values.size)
+    for cam in range(n_cameras):
+        bit = 1 << (n_cameras - 1 - cam)
+        small = masks[masks & bit == 0]
+        grown = small | bit
+        shrinks = present[small] & present[grown] & (values[grown] < values[small] - 1e-9)
+        bad = np.flatnonzero(shrinks)
+        if bad.size:
+            i = bad[0]
+            raise ConfigError(f"quality table not monotone: {name(grown[i])} < {name(small[i])}")
 
 
 class QualityModel:
-    """Subset -> matching-points model, either synthetic (table + noise) or a replayed trace."""
+    """Subset -> matching-points model, either synthetic (table + noise) or a replayed trace.
+
+    Besides the tuple-keyed ``base`` table or ``trace_columns``, the model
+    keeps the same mapping indexed by integer mask (``base_by_mask`` or
+    ``column_by_mask``, None where a subset is absent) for the episode engine.
+    """
 
     def __init__(self, *, base: dict[Mask, float] | None = None, noise_sd: float = 0.0,
                  trace: np.ndarray | None = None, trace_columns: dict[Mask, int] | None = None,
                  n_cameras: int | None = None):
         if (base is None) == (trace is None):
             raise ConfigError("QualityModel needs exactly one of a base table or a trace")
+        require_finite("noise_sd", noise_sd)
         if noise_sd < 0:
             raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
         self.base = base
@@ -121,8 +125,12 @@ class QualityModel:
         if n_cameras is None:
             n_cameras = len(next(iter(base))) if base is not None else len(next(iter(trace_columns)))
         self.n_cameras = n_cameras
+        self.base_by_mask = self.column_by_mask = None
         if base is not None:
-            _check_monotone(base, n_cameras)
+            self.base_by_mask = _by_mask(base, n_cameras)
+            _check_monotone(np.array(self.base_by_mask, dtype=float), n_cameras)
+        else:
+            self.column_by_mask = _by_mask(trace_columns, n_cameras)
 
     @property
     def mode(self) -> str:
@@ -160,7 +168,10 @@ class LatencyModel:
     server_speed_factor: tuple[float, ...] | None = None   # None = 1.0 for every server
 
     def __post_init__(self):
+        for factor in self.server_speed_factor or ():
+            require_finite("latency.server_speed_factor", factor)
         for name in ("per_image_tx_ms", "recon_base_ms", "recon_per_image_ms"):
+            require_finite(f"latency.{name}", getattr(self, name))
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.server_speed_factor is not None and any(f < 0 for f in self.server_speed_factor):
@@ -170,16 +181,6 @@ class LatencyModel:
         if self.server_speed_factor is None:
             return 1.0
         return self.server_speed_factor[server]
-
-
-@dataclass(frozen=True)
-class FrameOutcome:
-    quality: float
-    tx_latency_s: float
-    recon_latency_s: float
-    total_latency_s: float
-    effective_mask: Mask
-    reliable: int
 
 
 def step(frame: int, selected: Mask, server: int, camera_trace, server_trace,

@@ -3,17 +3,24 @@
 Quality is measured in matching points per view, latency in seconds. Both
 scores are normalized into [0, 1]; a frame is reliable only if the quality
 floor and both latency budgets hold simultaneously.
+
+An episode's per-frame results are kept as columns in a FrameLog; records
+and outcomes are built from them only when someone reads a frame.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
-from .errors import ConfigError, TraceFormatError
+from .errors import ConfigError, TraceFormatError, require_finite
+from .masks import Mask, mask_from_int, mask_to_str
 
 
 @dataclass(frozen=True)
@@ -25,6 +32,8 @@ class Thresholds:
     phi_recon_s: float = 1.0
 
     def __post_init__(self):
+        for name in ("theta", "phi_total_s", "phi_recon_s"):
+            require_finite(f"thresholds.{name}", getattr(self, name))
         if self.theta <= 0:
             raise ConfigError(f"theta must be > 0, got {self.theta}")
         if self.phi_total_s <= 0:
@@ -45,6 +54,8 @@ class RewardWeights:
     w2: float = 0.5
 
     def __post_init__(self):
+        require_finite("weights.w1", self.w1)
+        require_finite("weights.w2", self.w2)
         if not (0.0 <= self.w1 <= 1.0 and 0.0 <= self.w2 <= 1.0):
             raise ConfigError(f"w1 and w2 must lie in [0, 1], got ({self.w1}, {self.w2})")
         if abs(self.w1 + self.w2 - 1.0) > 1e-9:
@@ -93,6 +104,98 @@ def reliability(quality: float, total_latency_s: float, recon_latency_s: float,
     return 1 if ok else 0
 
 
+@dataclass(frozen=True)
+class FrameOutcome:
+    quality: float
+    tx_latency_s: float
+    recon_latency_s: float
+    total_latency_s: float
+    effective_mask: Mask
+    reliable: int
+
+
+@dataclass(frozen=True)
+class FrameRecord:
+    frame: int
+    mask: Mask
+    server: int
+    outcome: FrameOutcome
+    camera_reward: float
+    server_reward: float
+    camera_epsilon: float
+    camera_alpha: float
+    server_epsilon: float
+    server_alpha: float
+
+
+@dataclass(eq=False)
+class FrameLog(Sequence):
+    """One episode's per-frame results as columns, in frame order.
+
+    Masks are integers (see the ``masks`` module); the effective mask of frame t is
+    ``masks[t] & availability[t]``. The epsilon/alpha columns hold what the
+    policies exposed, NaN where a policy has no such attribute. Indexing,
+    slicing and iteration build FrameRecord views on demand.
+    """
+
+    n_cameras: int
+    availability: list[int]
+    masks: list[int] = field(default_factory=list)
+    servers: list[int] = field(default_factory=list)
+    quality: list[float] = field(default_factory=list)
+    tx_s: list[float] = field(default_factory=list)
+    recon_s: list[float] = field(default_factory=list)
+    total_s: list[float] = field(default_factory=list)
+    reliable: list[int] = field(default_factory=list)
+    camera_reward: list[float] = field(default_factory=list)
+    server_reward: list[float] = field(default_factory=list)
+    camera_epsilon: list = field(default_factory=list)
+    camera_alpha: list = field(default_factory=list)
+    server_epsilon: list = field(default_factory=list)
+    server_alpha: list = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, index):
+        frames = range(len(self.masks))[index]
+        if isinstance(index, slice):
+            return [self._record(frame) for frame in frames]
+        return self._record(frames)
+
+    def __iter__(self):
+        return map(self._record, range(len(self.masks)))
+
+    def _record(self, t: int) -> FrameRecord:
+        n = self.n_cameras
+        mask = self.masks[t]
+        return FrameRecord(
+            frame=t,
+            mask=mask_from_int(mask, n),
+            server=self.servers[t],
+            outcome=FrameOutcome(
+                quality=self.quality[t],
+                tx_latency_s=self.tx_s[t],
+                recon_latency_s=self.recon_s[t],
+                total_latency_s=self.total_s[t],
+                effective_mask=mask_from_int(mask & self.availability[t], n),
+                reliable=self.reliable[t],
+            ),
+            camera_reward=self.camera_reward[t],
+            server_reward=self.server_reward[t],
+            camera_epsilon=float(self.camera_epsilon[t]),
+            camera_alpha=float(self.camera_alpha[t]),
+            server_epsilon=float(self.server_epsilon[t]),
+            server_alpha=float(self.server_alpha[t]),
+        )
+
+    def mask_strings(self) -> list[str]:
+        """The selected mask of every frame as its bitstring."""
+        width = f"0{self.n_cameras}b"
+        names = {mask: format(mask, width) for mask in set(self.masks)}
+        return [names[mask] for mask in self.masks]
+
+
 class RunStats:
     """Streaming aggregate over per-frame records.
 
@@ -121,11 +224,31 @@ class RunStats:
         self.tx_sum += out.tx_latency_s
         self.recon_sum += out.recon_latency_s
         self.total_sum += out.total_latency_s
-        self.camera_subset_histogram["".join(str(b) for b in record.mask)] += 1
+        self.camera_subset_histogram[mask_to_str(record.mask)] += 1
         self.server_histogram[record.server] += 1
         self.camera_rewards.append(record.camera_reward)
         self.server_rewards.append(record.server_reward)
         self.total_latencies.append(out.total_latency_s)
+
+    @classmethod
+    def from_log(cls, log: FrameLog) -> "RunStats":
+        """The stats that add() would accumulate over every frame of the log.
+
+        Sums run left to right from 0.0, as add() does, so the floats match.
+        """
+        stats = cls()
+        stats.frames = len(log)
+        stats.reliable_frames = sum(log.reliable)
+        stats.quality_sum = reduce(operator.add, log.quality, 0.0)
+        stats.tx_sum = reduce(operator.add, log.tx_s, 0.0)
+        stats.recon_sum = reduce(operator.add, log.recon_s, 0.0)
+        stats.total_sum = reduce(operator.add, log.total_s, 0.0)
+        stats.camera_subset_histogram = Counter(log.mask_strings())
+        stats.server_histogram = Counter(log.servers)
+        stats.camera_rewards = list(log.camera_reward)
+        stats.server_rewards = list(log.server_reward)
+        stats.total_latencies = list(log.total_s)
+        return stats
 
     def merge(self, other: "RunStats") -> "RunStats":
         merged = RunStats()
@@ -185,25 +308,39 @@ FRAME_LOG_HEADER = (
 )
 
 
+def _frame_log_columns(records) -> tuple:
+    """The FRAME_LOG_HEADER columns of a FrameLog or of any sequence of records."""
+    if isinstance(records, FrameLog):
+        return (range(len(records)), records.mask_strings(), records.servers,
+                records.quality, records.tx_s, records.recon_s, records.total_s,
+                records.camera_reward, records.server_reward, records.reliable)
+    records = list(records)
+    outcomes = [rec.outcome for rec in records]
+    return ([rec.frame for rec in records],
+            [mask_to_str(rec.mask) for rec in records],
+            [rec.server for rec in records],
+            [out.quality for out in outcomes],
+            [out.tx_latency_s for out in outcomes],
+            [out.recon_latency_s for out in outcomes],
+            [out.total_latency_s for out in outcomes],
+            [rec.camera_reward for rec in records],
+            [rec.server_reward for rec in records],
+            [out.reliable for out in outcomes])
+
+
 def write_frame_log(records, path) -> None:
     """Write the per-frame CSV log; float cells use repr so reloads are lossless."""
+    (frames, masks, servers, quality, tx_s, recon_s, total_s,
+     reward_cam, reward_srv, reliable) = _frame_log_columns(records)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FRAME_LOG_HEADER)
-        for rec in records:
-            out = rec.outcome
-            writer.writerow([
-                rec.frame,
-                "".join(str(b) for b in rec.mask),
-                rec.server,
-                repr(float(out.quality)),
-                repr(float(out.tx_latency_s)),
-                repr(float(out.recon_latency_s)),
-                repr(float(out.total_latency_s)),
-                repr(float(rec.camera_reward)),
-                repr(float(rec.server_reward)),
-                out.reliable,
-            ])
+        writer.writerows(zip(
+            frames, masks, servers,
+            *(map(repr, map(float, col)) for col in (quality, tx_s, recon_s, total_s,
+                                                     reward_cam, reward_srv)),
+            reliable,
+        ))
 
 
 def read_frame_log(path) -> list[dict]:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .environment import Mask
-from .errors import ConfigError
+from .errors import ConfigError, require_count, require_finite
+from .masks import Mask, subsets
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,7 @@ def enumerate_actions(n_cameras: int, k_min: int, k_max: int) -> ActionSpace:
             f"subset bounds must satisfy 1 <= k_min <= k_max <= n_cameras, "
             f"got k_min={k_min}, k_max={k_max}, n_cameras={n_cameras}"
         )
-    actions = []
-    for value in range(2 ** n_cameras):
-        bits = tuple((value >> (n_cameras - 1 - i)) & 1 for i in range(n_cameras))
-        if k_min <= sum(bits) <= k_max:
-            actions.append(bits)
+    actions = subsets(n_cameras, k_min, k_max)
     return ActionSpace(
         n_cameras=n_cameras,
         k_min=k_min,
@@ -63,7 +59,7 @@ def epsilon_greedy(q_values, epsilon: float, rng) -> int:
         raise ValueError("epsilon_greedy needs a nonempty value list")
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(n))
-    return int(np.argmax(q_values))
+    return int(np.asarray(q_values).argmax())
 
 
 class QTable:
@@ -121,9 +117,12 @@ def q_update(table: QTable, state: str, action: int, reward: float, next_state: 
     if not math.isfinite(reward):
         raise ValueError(f"reward must be finite, got {reward}")
     row = table.row(state)
-    target = reward + gamma * table.max_value(next_state)
-    row[action] += alpha * (target - row[action])
-    return float(row[action])
+    following = row if next_state == state else table.rows.get(next_state)
+    target = reward + gamma * (0.0 if following is None else float(following.max()))
+    value = row.item(action)
+    value += alpha * (target - value)
+    row[action] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -146,6 +145,11 @@ class AgentParams:
     degradation_drop: float = 0.1
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.name == "degradation_window":
+                require_count(f.name, self.degradation_window)
+            elif f.name != "adaptive":
+                require_finite(f.name, getattr(self, f.name))
         if not 0 < self.alpha <= 1:
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0 <= self.gamma < 1:
@@ -268,7 +272,7 @@ class GreedyTripletCameraPolicy:
         self.masks = space.actions
         self.index = space.index
         self.counts = [0] * len(self.masks)
-        self.mean_quality = [0.0] * len(self.masks)
+        self.mean_quality = np.zeros(len(self.masks))
         self._cold = 0   # next unvisited arm during the cold-start sweep
 
     def select(self, rng=None) -> Mask:
@@ -276,14 +280,15 @@ class GreedyTripletCameraPolicy:
             mask = self.masks[self._cold]
             self._cold += 1
             return mask
-        return self.masks[int(np.argmax(self.mean_quality))]
+        return self.masks[int(self.mean_quality.argmax())]
 
     def learn(self, mask: Mask, reward: float = 0.0, quality: float | None = None) -> None:
         if quality is None:
             return
         idx = self.index[mask]
         self.counts[idx] += 1
-        self.mean_quality[idx] += (quality - self.mean_quality[idx]) / self.counts[idx]
+        mean = self.mean_quality.item(idx)
+        self.mean_quality[idx] = mean + (quality - mean) / self.counts[idx]
 
 
 class BanditCameraPolicy:
@@ -295,7 +300,7 @@ class BanditCameraPolicy:
         self.space = space
         self.epsilon = epsilon
         self.counts = [0] * len(space)
-        self.mean_reward = [0.0] * len(space)
+        self.mean_reward = np.zeros(len(space))
 
     def select(self, rng) -> Mask:
         idx = epsilon_greedy(self.mean_reward, self.epsilon, rng)
@@ -304,7 +309,8 @@ class BanditCameraPolicy:
     def learn(self, mask: Mask, reward: float, quality: float | None = None) -> None:
         idx = self.space.index[mask]
         self.counts[idx] += 1
-        self.mean_reward[idx] += (reward - self.mean_reward[idx]) / self.counts[idx]
+        mean = self.mean_reward.item(idx)
+        self.mean_reward[idx] = mean + (reward - mean) / self.counts[idx]
 
 
 class ServerState(NamedTuple):
@@ -375,11 +381,11 @@ class LatencyGreedyServerPolicy:
         self.estimates = np.zeros(n_servers)
 
     def select(self, frame: int, state: ServerState | None = None, rng=None) -> int:
-        return int(np.argmin(self.estimates))
+        return int(self.estimates.argmin())
 
     def learn(self, state, action, reward, next_state, total_latency_s=None) -> None:
         if total_latency_s is None:
             return
         self.estimates[action] = (
-            self.beta * total_latency_s + (1.0 - self.beta) * self.estimates[action]
+            self.beta * total_latency_s + (1.0 - self.beta) * self.estimates.item(action)
         )

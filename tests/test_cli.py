@@ -63,6 +63,18 @@ class TestRun:
         assert "config error" in err
         assert "camera_policy" in err
 
+    @pytest.mark.parametrize("text, field", [
+        ("quality:\n  noise_sd: .nan\n", "quality.noise_sd"),
+        ("thresholds:\n  theta: .nan\n", "thresholds.theta"),
+        ("n_frames: 20.5\n", "n_frames"),
+        ("n_frames: true\n", "n_frames"),
+    ])
+    def test_non_finite_or_non_integer_value_exits_config_error(self, tmp_path, capsys,
+                                                                text, field):
+        config = write_config(tmp_path, text)
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path)) == EXIT_CONFIG_ERROR
+        assert field in capsys.readouterr().err
+
     def test_unparseable_yaml(self, tmp_path, capsys):
         config = write_config(tmp_path, "n_frames: [unclosed\n")
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path)) == EXIT_CONFIG_ERROR

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,23 @@ class TestConfigDict:
     ])
     def test_invalid_values_rejected(self, raw):
         with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"quality": {"noise_sd": float("nan")}}, "quality.noise_sd"),
+        ({"quality": {"table": {"11000": float("inf")}}}, "quality.table"),
+        ({"thresholds": {"theta": float("nan")}}, "thresholds.theta"),
+        ({"latency": {"recon_base_ms": float("nan")}}, "latency.recon_base_ms"),
+        ({"latency": {"server_speed_factor": [1.0, float("inf"), 1.0, 1.0]}},
+         "latency.server_speed_factor"),
+        ({"disruption": {"spike_range_ms": [100.0, float("inf")]}}, "disruption.spike_range_ms"),
+        ({"camera_agent": {"eta_inc": float("nan")}}, "eta_inc"),
+        ({"n_frames": 20.5}, "n_frames"),
+        ({"n_frames": True}, "n_frames"),
+        ({"k_max": 4.0}, "k_max"),
+    ])
+    def test_non_finite_or_non_integer_value_names_field(self, raw, field):
+        with pytest.raises(ConfigError, match=re.escape(field)):
             config_from_dict(raw)
 
     def test_speed_factor_width_checked(self):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from edgerecon.errors import ConfigError
@@ -72,9 +72,14 @@ class TestEpsilonGreedy:
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=10),
            st.floats(0.001, 100))
     def test_argmax_invariant_under_positive_scaling(self, values, scale):
+        scaled_values = [v * scale for v in values]
+        # Scaling can underflow two distinct values into a tie (e.g. -5e-324 * 0.5
+        # is -0.0), which moves the first-index argmax; such a scale is not
+        # order-preserving, so the property does not apply.
+        assume(len(set(scaled_values)) == len(set(values)))
         rng = np.random.default_rng(0)
         base = epsilon_greedy(values, 0.0, rng)
-        scaled = epsilon_greedy([v * scale for v in values], 0.0, rng)
+        scaled = epsilon_greedy(scaled_values, 0.0, rng)
         assert base == scaled
 
 
