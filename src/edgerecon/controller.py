@@ -184,6 +184,10 @@ def run_episode(config: ExperimentConfig,
     add_r_cam, add_r_srv = log.camera_reward.append, log.server_reward.append
     add_cam_eps, add_cam_alpha = log.camera_epsilon.append, log.camera_alpha.append
     add_srv_eps, add_srv_alpha = log.server_epsilon.append, log.server_alpha.append
+    # Which policies expose epsilon/alpha is decided once per episode; the
+    # columns of an attribute a policy lacks are filled with NaN after the loop.
+    cam_eps, cam_alpha = hasattr(camera_policy, "epsilon"), hasattr(camera_policy, "alpha")
+    srv_eps, srv_alpha = hasattr(server_policy, "epsilon"), hasattr(server_policy, "alpha")
     cam_select, cam_learn = camera_policy.select, camera_policy.learn
     srv_select, srv_learn = server_policy.select, server_policy.learn
     # A fresh ServerState per frame, built without NamedTuple's Python-level __new__.
@@ -236,10 +240,14 @@ def run_episode(config: ExperimentConfig,
         add_reliable(1 if quality >= theta and total <= phi_total and recon <= phi_recon else 0)
         add_r_cam(r_cam)
         add_r_srv(r_srv)
-        add_cam_eps(getattr(camera_policy, "epsilon", nan))
-        add_cam_alpha(getattr(camera_policy, "alpha", nan))
-        add_srv_eps(getattr(server_policy, "epsilon", nan))
-        add_srv_alpha(getattr(server_policy, "alpha", nan))
+        if cam_eps:
+            add_cam_eps(camera_policy.epsilon)
+        if cam_alpha:
+            add_cam_alpha(camera_policy.alpha)
+        if srv_eps:
+            add_srv_eps(server_policy.epsilon)
+        if srv_alpha:
+            add_srv_alpha(server_policy.alpha)
 
         if not delay:
             # Immediate feedback: frame t+1 has not happened yet, so
@@ -258,6 +266,10 @@ def run_episode(config: ExperimentConfig,
                           log.total_s[t])
         prev_server = server
 
+    for present, column in ((cam_eps, log.camera_epsilon), (cam_alpha, log.camera_alpha),
+                            (srv_eps, log.server_epsilon), (srv_alpha, log.server_alpha)):
+        if not present:
+            column.extend([nan] * n_frames)
     return RunStats.from_log(log), log
 
 

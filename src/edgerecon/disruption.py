@@ -10,13 +10,16 @@ server per event, keeping servers statistically independent of each other.
 
 from __future__ import annotations
 
-import csv
 import json
+from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import read_csv_rows, write_csv_rows
 from .errors import ConfigError, TraceFormatError, TraceSchemaError, require_count, require_finite
 
 DEFAULT_CORRELATION_GROUPS = ((0, 1), (2, 4), (3,))
@@ -245,7 +248,11 @@ def _server_header(n_servers: int) -> list[str]:
 
 
 def save_traces(camera: CameraTrace, server: ServerLatencyTrace, out_dir) -> tuple[Path, Path]:
-    """Write cameras.csv and servers.csv under out_dir; returns the two paths."""
+    """Write cameras.csv and servers.csv under out_dir; returns the two paths.
+
+    Availability cells are written as integers and latency cells as the
+    repr of their float value.
+    """
     if camera.frames != server.frames:
         raise TraceSchemaError(
             f"camera trace has {camera.frames} frames but server trace has {server.frames}"
@@ -254,44 +261,68 @@ def save_traces(camera: CameraTrace, server: ServerLatencyTrace, out_dir) -> tup
     out.mkdir(parents=True, exist_ok=True)
     cam_path = out / CAMERAS_FILE
     srv_path = out / SERVERS_FILE
-    with open(cam_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_camera_header(camera.n_cameras))
-        for frame in range(camera.frames):
-            writer.writerow([frame] + [int(v) for v in camera.availability[frame]])
-    with open(srv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_server_header(server.n_servers))
-        for frame in range(server.frames):
-            writer.writerow([frame] + [repr(float(v)) for v in server.latency_ms[frame]])
+    # "%d" formats any real number as str(int(value)) would.
+    write_csv_rows(cam_path, _camera_header(camera.n_cameras),
+                   "%d" + ",%d" * camera.n_cameras + "\r\n",
+                   _numbered(camera.availability))
+    write_csv_rows(srv_path, _server_header(server.n_servers),
+                   "%d" + ",%r" * server.n_servers + "\r\n",
+                   _numbered(server.latency_ms.astype(float, copy=False)))
     return cam_path, srv_path
 
 
-def _read_matrix(path, expected_header, parse_cell):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise TraceSchemaError(f"{path}: file is empty")
-        if header != expected_header(len(header) - 1) or len(header) < 2:
-            raise TraceSchemaError(f"{path}: unexpected header {header}")
-        width = len(header) - 1
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width + 1:
-                raise TraceSchemaError(
-                    f"{path}: line {lineno} has {len(row)} columns, expected {width + 1}"
-                )
-            try:
-                frame = int(row[0])
-            except ValueError as exc:
-                raise TraceFormatError(f"bad frame index {row[0]!r}", line=lineno) from exc
-            if frame != len(rows):
-                raise TraceSchemaError(
-                    f"{path}: frame index {frame} at line {lineno} does not match row position {len(rows)}"
-                )
-            rows.append([parse_cell(cell, lineno) for cell in row[1:]])
-    return rows
+# Trace rows are converted and checked this many at a time, so neither a
+# whole matrix as Python lists nor a whole file as strings is ever held.
+_BLOCK_ROWS = 1024
+
+_BIT_CELLS = frozenset(("0", "1"))
+
+
+def _numbered(matrix: np.ndarray):
+    """Each row of the matrix as a tuple of Python numbers led by its frame index."""
+    for first in range(0, len(matrix), _BLOCK_ROWS):
+        for frame, row in enumerate(matrix[first:first + _BLOCK_ROWS].tolist(), first):
+            yield (frame, *row)
+
+
+def _parse_rows(path, width: int, rows: list[list[str]], parse_cell, first: int) -> list[list]:
+    """Check and parse data rows one cell at a time, raising at the first bad line.
+
+    ``rows`` starts at frame ``first``. This is the reference for the bulk
+    checks in ``_load_matrix``, which runs it on a block only when a bulk
+    check fails, so the error names the first bad line.
+    """
+    parsed = []
+    for lineno, row in enumerate(rows, start=2 + first):
+        if len(row) != width:
+            raise TraceSchemaError(
+                f"{path}: line {lineno} has {len(row)} columns, expected {width}"
+            )
+        try:
+            frame = int(row[0])
+        except ValueError as exc:
+            raise TraceFormatError(f"bad frame index {row[0]!r}", line=lineno) from exc
+        if frame != first + len(parsed):
+            raise TraceSchemaError(
+                f"{path}: frame index {frame} at line {lineno} does not match row position "
+                f"{first + len(parsed)}"
+            )
+        parsed.append([parse_cell(cell, lineno) for cell in row[1:]])
+    return parsed
+
+
+def _frames_in_order(rows: list[list[str]], width: int, first: int) -> bool:
+    """Bulk form of _parse_rows' structure checks.
+
+    True when every row is ``width`` cells wide and the frame column reads
+    first, first + 1, ... through ``int``.
+    """
+    if set(map(len, rows)) != {width}:
+        return False
+    try:
+        return list(map(int, map(itemgetter(0), rows))) == list(range(first, first + len(rows)))
+    except ValueError:
+        return False
 
 
 def _parse_bit(cell: str, lineno: int) -> int:
@@ -310,22 +341,73 @@ def _parse_latency(cell: str, lineno: int) -> float:
     return value
 
 
+def _bits(rows: list[list[str]], width: int) -> np.ndarray | None:
+    """Availability cells as uint8, checking each distinct row once; None if a cell is not 0/1."""
+    cells = list(map(tuple, map(itemgetter(slice(1, None)), rows)))
+    distinct = set(cells)
+    if not all(_BIT_CELLS.issuperset(row) for row in distinct):
+        return None
+    packed = {row: bytes(map(int, row)) for row in distinct}
+    data = bytearray().join(map(packed.__getitem__, cells))
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width - 1)
+
+
+def _latencies(rows: list[list[str]], width: int) -> np.ndarray | None:
+    """Latency cells through ``float``; None unless all parse and are finite and >= 0."""
+    cells = chain.from_iterable(map(itemgetter(slice(1, None)), rows))
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(rows) * (width - 1))
+    except ValueError:
+        return None
+    if not (np.isfinite(values).all() and (values >= 0).all()):
+        return None
+    return values.reshape(len(rows), width - 1)
+
+
+def _load_matrix(path, expected_header, convert, parse_cell, dtype) -> np.ndarray:
+    """The data rows of a trace CSV as one array, read and converted a block of rows at a time.
+
+    ``convert`` checks and converts a block in bulk and returns None when a
+    check fails; the row loop ``_parse_rows`` then rescans that block to find
+    and word the error. Both use the same ``int``/``float`` conversions, so
+    they accept and reject the same inputs.
+    """
+    with closing(read_csv_rows(path)) as lines:
+        header = next(lines, None)
+        if header is None:
+            raise TraceSchemaError(f"{path}: file is empty")
+        if header != expected_header(len(header) - 1) or len(header) < 2:
+            raise TraceSchemaError(f"{path}: unexpected header {header}")
+        width = len(header)
+        blocks = []
+        first = 0
+        while rows := list(islice(lines, _BLOCK_ROWS)):
+            values = convert(rows, width) if _frames_in_order(rows, width, first) else None
+            if values is None:
+                values = np.array(_parse_rows(path, width, rows, parse_cell, first), dtype=dtype)
+            blocks.append(values)
+            first += len(rows)
+    return np.concatenate(blocks) if blocks else np.array([], dtype=dtype)
+
+
 def load_traces(trace_dir) -> tuple[CameraTrace, ServerLatencyTrace]:
     """Load cameras.csv and servers.csv from a directory written by save_traces.
 
-    Event logs are not part of the CSV schema, so loaded traces carry empty
-    event lists.
+    Each file is read once and its rows are checked and converted in bulk
+    (see ``_load_matrix``); undecodable or malformed files raise
+    TraceFormatError. Event logs are not part of the CSV schema, so loaded
+    traces carry empty event lists.
     """
     trace_dir = Path(trace_dir)
-    cam_rows = _read_matrix(trace_dir / CAMERAS_FILE, _camera_header, _parse_bit)
-    srv_rows = _read_matrix(trace_dir / SERVERS_FILE, _server_header, _parse_latency)
-    if len(cam_rows) != len(srv_rows):
+    availability = _load_matrix(trace_dir / CAMERAS_FILE, _camera_header, _bits, _parse_bit,
+                                np.uint8)
+    latency = _load_matrix(trace_dir / SERVERS_FILE, _server_header, _latencies, _parse_latency,
+                           float)
+    if len(availability) != len(latency):
         raise TraceSchemaError(
-            f"camera trace has {len(cam_rows)} frames but server trace has {len(srv_rows)}"
+            f"camera trace has {len(availability)} frames but server trace has {len(latency)}"
         )
-    camera = CameraTrace(availability=np.array(cam_rows, dtype=np.uint8))
-    server = ServerLatencyTrace(latency_ms=np.array(srv_rows, dtype=float))
-    return camera, server
+    return CameraTrace(availability=availability), ServerLatencyTrace(latency_ms=latency)
 
 
 def write_event_log(camera: CameraTrace, server: ServerLatencyTrace, path) -> None:

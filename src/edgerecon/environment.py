@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
+from .csvio import read_csv_rows
 from .errors import ConfigError, TraceFormatError, TraceSchemaError, require_finite
 from .masks import Mask, mask_from_str, mask_to_int, mask_to_str, popcount, subsets
 from .metrics import FrameOutcome, Thresholds, reliability
@@ -244,10 +246,9 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
     subset with at least MIN_VIEWS cameras must be present so lookups can
     never miss at runtime.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with closing(read_csv_rows(path)) as reader:
         header = next(reader, None)
-        if header is None or header[0] != "frame" or len(header) < 2:
+        if not header or header[0] != "frame" or len(header) < 2:
             raise TraceSchemaError(f"{path}: header must be 'frame,<mask>,...', got {header}")
         try:
             masks = [mask_from_str(col) for col in header[1:]]

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 
+from .csvio import write_csv_rows
 from .errors import ConfigError, TraceFormatError, require_finite
 from .masks import Mask, mask_from_int, mask_to_str
 
@@ -328,19 +329,19 @@ def _frame_log_columns(records) -> tuple:
             [out.reliable for out in outcomes])
 
 
+# Frame, mask and server, six float columns written as their repr, then the reliable flag.
+_FRAME_LOG_ROW = "%s,%s,%s,%r,%r,%r,%r,%r,%r,%s\r\n"
+
+
 def write_frame_log(records, path) -> None:
     """Write the per-frame CSV log; float cells use repr so reloads are lossless."""
     (frames, masks, servers, quality, tx_s, recon_s, total_s,
      reward_cam, reward_srv, reliable) = _frame_log_columns(records)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FRAME_LOG_HEADER)
-        writer.writerows(zip(
-            frames, masks, servers,
-            *(map(repr, map(float, col)) for col in (quality, tx_s, recon_s, total_s,
-                                                     reward_cam, reward_srv)),
-            reliable,
-        ))
+    write_csv_rows(path, FRAME_LOG_HEADER, _FRAME_LOG_ROW, zip(
+        frames, masks, servers,
+        *(map(float, col) for col in (quality, tx_s, recon_s, total_s, reward_cam, reward_srv)),
+        reliable,
+    ))
 
 
 def read_frame_log(path) -> list[dict]:

@@ -13,6 +13,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -118,7 +119,10 @@ def q_update(table: QTable, state: str, action: int, reward: float, next_state: 
         raise ValueError(f"reward must be finite, got {reward}")
     row = table.row(state)
     following = row if next_state == state else table.rows.get(next_state)
-    target = reward + gamma * (0.0 if following is None else float(following.max()))
+    # item(argmax()) reads the row maximum without ndarray.max's Python-level
+    # wrapper; rows hold finite values only (rewards are checked above), so
+    # the value is the same.
+    target = reward + gamma * (0.0 if following is None else following.item(following.argmax()))
     value = row.item(action)
     value += alpha * (target - value)
     row[action] = value
@@ -179,11 +183,17 @@ class AgentParams:
 
 
 def detect_degradation(rewards, window: int, drop: float) -> bool:
-    """True when the last window's mean reward fell below the previous window's by more than drop."""
-    if len(rewards) < 2 * window:
+    """True when the last window's mean reward fell below the previous window's by more than drop.
+
+    ``rewards`` is any sized sequence, a list or a deque; each window is
+    summed left to right without copying it.
+    """
+    n = len(rewards)
+    if n < 2 * window:
         return False
-    recent = sum(rewards[-window:]) / window
-    previous = sum(rewards[-2 * window:-window]) / window
+    tail = islice(rewards, n - 2 * window, None)
+    previous = sum(islice(tail, window)) / window
+    recent = sum(tail) / window
     return recent < previous - drop
 
 
@@ -211,7 +221,7 @@ class _AdaptiveMixin:
         self.reward_history.append(reward)
         if self.params.adaptive:
             degraded = detect_degradation(
-                list(self.reward_history), self.params.degradation_window, self.params.degradation_drop
+                self.reward_history, self.params.degradation_window, self.params.degradation_drop
             )
             self.alpha, self.epsilon = adapt_params(self.alpha, self.epsilon, self.params, degraded)
 

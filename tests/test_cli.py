@@ -126,6 +126,20 @@ class TestRun:
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(config), "--out", str(out)) == EXIT_OK
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda path: path.write_bytes(path.read_bytes() + b"\xff"), "cannot decode byte b'\\xff'"),
+        (lambda path: path.write_text(f"{path.read_text()}120,{'1' * 200_000}\r\n"),
+         "field larger than field limit"),
+    ], ids=["undecodable-byte", "oversized-cell"])
+    def test_unreadable_trace_file_is_trace_error(self, tmp_path, capsys, corrupt, message):
+        traces = tmp_path / "traces"
+        assert run_cli("gen-traces", "--out", str(traces), "--frames", "120", "--seed", "11") == EXIT_OK
+        corrupt(traces / "cameras.csv")
+        config = write_config(tmp_path, SMALL_CONFIG + f"traces_dir: {traces}\n")
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == EXIT_TRACE_ERROR
+        err = capsys.readouterr().err
+        assert "trace error: line 122:" in err and message in err
+
     def test_missing_trace_dir_is_trace_error(self, tmp_path):
         config = write_config(tmp_path, SMALL_CONFIG + "traces_dir: /nonexistent/nowhere\n")
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path)) == EXIT_TRACE_ERROR

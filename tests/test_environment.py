@@ -242,6 +242,23 @@ class TestQualityTraceIO:
         with pytest.raises(TraceFormatError, match=">= 0"):
             load_quality_trace(path)
 
+    @pytest.mark.parametrize("tail, message", [
+        (b"\xff\r\n", "line 4: .*cannot decode byte"),
+        (b"2," + b"1" * 200_000 + b"\r\n", "line 4: .*field larger than field limit"),
+    ], ids=["undecodable-byte", "oversized-cell"])
+    def test_unreadable_file_is_format_error(self, tmp_path, tail, message):
+        path = tmp_path / "quality.csv"
+        write_quality_trace(path, QualityModel.synthetic(5), n_frames=2)
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(TraceFormatError, match=message):
+            load_quality_trace(path)
+
+    def test_blank_header_line_is_schema_error(self, tmp_path):
+        path = tmp_path / "quality.csv"
+        path.write_text("\n0,1.0\n")
+        with pytest.raises(TraceSchemaError, match="header"):
+            load_quality_trace(path)
+
     def test_round_trip_step_outputs_equal(self, tmp_path):
         # Materialize the synthetic table as a trace, then step both models.
         camera, server = clean_traces(frames=6, n_cameras=5)

@@ -3,6 +3,9 @@
 A speed-only change must leave these bytes identical. The digests were
 recorded before the columnar episode engine replaced the per-frame object
 loop, so they pin the simulated results of the original implementation.
+The ``replay`` case (gen-traces, then run on the saved traces) was added
+later; its digests, trace files included, were recorded before the trace
+loader and the CSV writers were rewritten to check and format in bulk.
 If a change alters the results on purpose, it says why and records the new
 digests, which ``python tests/test_golden.py`` prints.
 """
@@ -25,6 +28,7 @@ from edgerecon.policies import QTable, enumerate_actions
 
 FRAMES = 1000
 FILES = ("frames.csv", "summary.json", "qtable_camera.json", "qtable_server.json")
+TRACE_FILES = ("cameras.csv", "servers.csv")
 CAMERA_POLICIES = ("qlearning", "greedy3", "bandit", "adaptive_q", "random")
 SERVER_POLICIES = ("round_robin", "latency_greedy", "qlearning", "adaptive_q")
 
@@ -82,6 +86,25 @@ def run_trace_case(out: Path) -> None:
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
 
 
+def run_replay_case(out: Path) -> None:
+    """Replayed disruption traces through the CLI: gen-traces, then run with traces_dir.
+
+    A 6-camera adaptive-Q rig; the written cameras.csv and servers.csv are
+    pinned as well, so the trace writer's bytes are covered.
+    """
+    config = out / "config.yaml"
+    config.write_text(
+        f"n_frames: {FRAMES}\nn_cameras: 6\nn_servers: 3\nseed: 4\n"
+        "camera_policy: adaptive_q\nserver_policy: adaptive_q\n"
+        f"traces_dir: {str(out)!r}\n"
+        "disruption:\n  correlation_groups: [[0, 1], [2, 4], [3], [5]]\n"
+        "quality:\n  camera_weights: [0.84, 0.83, 0.82, 0.81, 0.80, 0.79]\n"
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-traces", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+
+
 CASES = {
     **{f"camera-{p}": (lambda out, p=p: run_api_case(_camera_case(p), out))
        for p in CAMERA_POLICIES},
@@ -89,6 +112,7 @@ CASES = {
        for p in SERVER_POLICIES},
     "delay3": lambda out: run_api_case(_delayed_case(), out),
     "quality-trace": run_trace_case,
+    "replay": run_replay_case,
 }
 
 GOLDEN = {
@@ -134,6 +158,14 @@ GOLDEN = {
         "qtable_camera.json": "d3d6f8e593fb1617616e33f5c7cdeefbed58d2ef8067e9175327906d72546b16",
         "qtable_server.json": "3eb04cb9d18cd5bd7a5b81f1d827eae68926e6feeaf68c3336799e23f461889a",
     },
+    "replay": {
+        "frames.csv": "a1f669740c1f0a2f05f1556f985e48073cfb66eab6457d556ab3faa8e84b2dc2",
+        "summary.json": "06fdc045b924a02344a7457236db90daaab230b4754ab24ace64edc29a775a1c",
+        "qtable_camera.json": "cd74b1383690c9bb6f51158f6a7137720dfd6e7e7877aa2c14e1b04f3d9fb838",
+        "qtable_server.json": "6090700af4181f4090f3ed489ac0b17daa3a7cce2c2dae71125c341322701e74",
+        "cameras.csv": "0eb088b9919ffd0dce825b41de658eeee3c9527fcbf1d126ae7c7341894e3af4",
+        "servers.csv": "628e4231af7cb2362b5f41c53d933f9b52c0e00e53c7bb4e76aae8dd359abb97",
+    },
     "server-adaptive_q": {
         "frames.csv": "54d4ce0844876ae85a3901b5368721965d3e37e08e5b1362677c81adb7b42bdf",
         "summary.json": "77d00c5d4fecfb9bcb9deac2e7208c56c318e1557a583989609dc6f1da783939",
@@ -163,7 +195,8 @@ GOLDEN = {
 
 def digests(case: str, out: Path) -> dict[str, str]:
     CASES[case](out)
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES}
+    names = FILES + tuple(name for name in TRACE_FILES if (out / name).exists())
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,0 +1,260 @@
+"""Trace and frame-log CSV I/O against plain row-by-row references.
+
+``load_traces`` checks rows in bulk and re-runs its row loop only to word an
+error; the reference below is that loop alone, one cell at a time. Mutated
+copies of small valid trace files must load to the same arrays, or fail with
+the same error type and message. The writers format rows with %-templates;
+their bytes must equal ``csv.writer`` output on the same cells.
+"""
+
+import csv
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from edgerecon import disruption
+from edgerecon.csvio import read_csv_rows
+from edgerecon.disruption import CameraTrace, ServerLatencyTrace, load_traces, save_traces
+from edgerecon.environment import load_quality_trace
+from edgerecon.errors import TraceFormatError, TraceSchemaError
+from edgerecon.metrics import FRAME_LOG_HEADER, FrameOutcome, FrameRecord, write_frame_log
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _reference_matrix(path, prefix, parse_cell):
+    rows = read_csv_rows(path)
+    header = next(rows, None)
+    if header is None:
+        raise TraceSchemaError(f"{path}: file is empty")
+    expected = ["frame"] + [prefix.format(i + 1) for i in range(len(header) - 1)]
+    if header != expected or len(header) < 2:
+        raise TraceSchemaError(f"{path}: unexpected header {header}")
+    parsed = []
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise TraceSchemaError(
+                f"{path}: line {lineno} has {len(row)} columns, expected {len(header)}")
+        try:
+            frame = int(row[0])
+        except ValueError as exc:
+            raise TraceFormatError(f"bad frame index {row[0]!r}", line=lineno) from exc
+        if frame != len(parsed):
+            raise TraceSchemaError(f"{path}: frame index {frame} at line {lineno} does not "
+                                   f"match row position {len(parsed)}")
+        parsed.append([parse_cell(cell, lineno) for cell in row[1:]])
+    return parsed
+
+
+def _bit(cell, lineno):
+    if cell not in ("0", "1"):
+        raise TraceFormatError(f"availability cell must be 0 or 1, got {cell!r}", line=lineno)
+    return int(cell)
+
+
+def _latency(cell, lineno):
+    try:
+        value = float(cell)
+    except ValueError as exc:
+        raise TraceFormatError(f"bad latency cell {cell!r}", line=lineno) from exc
+    if not math.isfinite(value) or value < 0:
+        raise TraceFormatError(f"latency must be finite and >= 0, got {cell!r}", line=lineno)
+    return value
+
+
+def reference_load(trace_dir: Path):
+    cam = _reference_matrix(trace_dir / "cameras.csv", "cam_{}", _bit)
+    srv = _reference_matrix(trace_dir / "servers.csv", "srv_{}_ms", _latency)
+    if len(cam) != len(srv):
+        raise TraceSchemaError(
+            f"camera trace has {len(cam)} frames but server trace has {len(srv)}")
+    return np.array(cam, dtype=np.uint8), np.array(srv, dtype=float)
+
+
+def outcome(load, trace_dir: Path):
+    """The loaded arrays, or the type and message of the trace error raised."""
+    try:
+        return "ok", load(trace_dir)
+    except (TraceFormatError, TraceSchemaError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(trace_dir: Path) -> None:
+    got = outcome(lambda d: _as_arrays(load_traces(d)), trace_dir)
+    want = outcome(reference_load, trace_dir)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        for array, expected in zip(got[1], want[1]):
+            assert array.dtype == expected.dtype
+            assert array.shape == expected.shape
+            assert np.array_equal(array, expected)
+    else:
+        assert got[1] == want[1]
+
+
+def _as_arrays(traces):
+    camera, server = traces
+    return camera.availability, server.latency_ms
+
+
+CELLS = st.one_of(
+    st.sampled_from(["", "0", "1", "2", "01", "-0", " 1", "1 ", "+1", "1.0", "1_0", "١",
+                     "nan", "inf", "-inf", "1e400", "-0.0", "-1", "0x1", "abc", '"1"', '""']),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def trace_tables(draw):
+    """A valid (cameras, servers) pair of cell tables, header first."""
+    frames = draw(st.integers(0, 5))
+    n_cams = draw(st.integers(1, 3))
+    n_srvs = draw(st.integers(1, 2))
+    cams = [["frame"] + [f"cam_{i + 1}" for i in range(n_cams)]]
+    cams += [[str(t)] + [draw(st.sampled_from("01")) for _ in range(n_cams)]
+             for t in range(frames)]
+    latency = st.floats(0, 1e6, allow_nan=False, allow_infinity=False)
+    srvs = [["frame"] + [f"srv_{i + 1}_ms" for i in range(n_srvs)]]
+    srvs += [[str(t)] + [repr(draw(latency)) for _ in range(n_srvs)] for t in range(frames)]
+    return cams, srvs
+
+
+def encode(rows) -> bytes:
+    return "".join(",".join(row) + "\r\n" for row in rows).encode()
+
+
+@st.composite
+def mutate(draw, table):
+    """Edit, drop or duplicate cells, drop, duplicate or swap lines, then maybe insert bytes."""
+    rows = [list(row) for row in table]
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["edit", "drop_cell", "dup_cell", "drop_line", "dup_line",
+                                   "swap_lines"]))
+        r = draw(st.integers(0, len(rows) - 1))
+        if op == "edit" and rows[r]:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(CELLS)
+        elif op == "drop_cell" and rows[r]:
+            del rows[r][draw(st.integers(0, len(rows[r]) - 1))]
+        elif op == "dup_cell" and rows[r]:
+            c = draw(st.integers(0, len(rows[r]) - 1))
+            rows[r].insert(c, rows[r][c])
+        elif op == "drop_line" and len(rows) > 1:
+            del rows[r]
+        elif op == "dup_line":
+            rows.insert(r, list(rows[r]))
+        elif op == "swap_lines":
+            s = draw(st.integers(0, len(rows) - 1))
+            rows[r], rows[s] = rows[s], rows[r]
+    data = encode(rows)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(
+            [b"\xff", b'"', b"\n", b"\r", b",", b"\x00", b"\r\n", b"1"]) | st.binary(max_size=3)) + data[at:]
+    return data
+
+
+@SETTINGS
+@given(st.data())
+def test_mutated_traces_load_like_the_row_loop(data):
+    cams, srvs = data.draw(trace_tables())
+    target = data.draw(st.sampled_from(["cameras", "servers", "both"]))
+    cam_bytes = data.draw(mutate(cams)) if target != "servers" else encode(cams)
+    srv_bytes = data.draw(mutate(srvs)) if target != "cameras" else encode(srvs)
+    # Small blocks make the loader check and convert a file in several parts.
+    block_rows = data.draw(st.sampled_from([1, 2, 3, disruption._BLOCK_ROWS]))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(disruption, "_BLOCK_ROWS", block_rows):
+        tmp = Path(tmp)
+        (tmp / "cameras.csv").write_bytes(cam_bytes)
+        (tmp / "servers.csv").write_bytes(srv_bytes)
+        assert_same_outcome(tmp)
+
+
+def test_saved_traces_load_like_the_row_loop(tmp_path):
+    camera = CameraTrace(availability=np.array([[1, 0, 1], [0, 1, 1], [1, 0, 1]], dtype=np.uint8))
+    server = ServerLatencyTrace(latency_ms=np.array([[150.25], [0.0], [1e-300]]))
+    save_traces(camera, server, tmp_path)
+    assert_same_outcome(tmp_path)
+    loaded_cam, loaded_srv = load_traces(tmp_path)
+    assert np.array_equal(loaded_cam.availability, camera.availability)
+    assert np.array_equal(loaded_srv.latency_ms, server.latency_ms)
+    loaded_cam.availability[0, 0] = 0    # loaded arrays are ordinary writable arrays
+
+
+HEADERS = [b"", b"frame,cam_1,cam_2\r\n", b"frame,srv_1_ms\r\n", b"frame,011,101,110,111\r\n"]
+
+
+@SETTINGS
+@given(prefix=st.sampled_from(HEADERS), body=st.binary(max_size=120),
+       which=st.sampled_from(["cameras.csv", "servers.csv", "quality.csv"]))
+def test_arbitrary_bytes_raise_only_trace_errors(prefix, body, which):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cameras.csv").write_bytes(b"frame,cam_1,cam_2\r\n0,1,1\r\n")
+        (tmp / "servers.csv").write_bytes(b"frame,srv_1_ms\r\n0,150.0\r\n")
+        (tmp / which).write_bytes(prefix + body)
+        try:
+            if which == "quality.csv":
+                load_quality_trace(tmp / which)
+            else:
+                load_traces(tmp)
+        except (TraceFormatError, TraceSchemaError):
+            pass
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1e300, 0.1]))
+
+
+def _csv_writer_bytes(path: Path, header, rows) -> bytes:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+@SETTINGS
+@given(availability=st.lists(st.lists(st.integers(0, 1), min_size=2, max_size=2), max_size=6),
+       latency=st.lists(FLOATS, max_size=6))
+def test_save_traces_bytes_equal_csv_writer(availability, latency):
+    frames = min(len(availability), len(latency))
+    camera = CameraTrace(availability=np.array(availability[:frames], dtype=np.uint8).reshape(frames, 2))
+    server = ServerLatencyTrace(latency_ms=np.array(latency[:frames], dtype=float).reshape(frames, 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_traces(camera, server, tmp / "out")
+        cam_rows = [[t] + [int(v) for v in row] for t, row in enumerate(camera.availability)]
+        srv_rows = [[t] + [repr(float(v)) for v in row] for t, row in enumerate(server.latency_ms)]
+        assert (tmp / "out/cameras.csv").read_bytes() == _csv_writer_bytes(
+            tmp / "cam.csv", ["frame", "cam_1", "cam_2"], cam_rows)
+        assert (tmp / "out/servers.csv").read_bytes() == _csv_writer_bytes(
+            tmp / "srv.csv", ["frame", "srv_1_ms"], srv_rows)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                          st.integers(0, 3), st.lists(FLOATS, min_size=6, max_size=6),
+                          st.integers(0, 1)), max_size=6))
+def test_frame_log_bytes_equal_csv_writer(frames):
+    records = [
+        FrameRecord(t, mask, server,
+                    FrameOutcome(v[0], v[1], v[2], v[3], mask, reliable),
+                    v[4], v[5], math.nan, math.nan, math.nan, math.nan)
+        for t, (mask, server, v, reliable) in enumerate(frames)
+    ]
+    rows = [[rec.frame, "".join(map(str, rec.mask)), rec.server,
+             *(repr(float(x)) for x in (rec.outcome.quality, rec.outcome.tx_latency_s,
+                                        rec.outcome.recon_latency_s, rec.outcome.total_latency_s,
+                                        rec.camera_reward, rec.server_reward)),
+             rec.outcome.reliable] for rec in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_frame_log(records, tmp / "frames.csv")
+        assert (tmp / "frames.csv").read_bytes() == _csv_writer_bytes(
+            tmp / "reference.csv", FRAME_LOG_HEADER, rows)
