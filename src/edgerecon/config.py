@@ -13,8 +13,9 @@ from pathlib import Path
 import yaml
 
 from .disruption import DisruptionParams
-from .environment import LatencyModel, mask_from_str
+from .environment import MIN_VIEWS, LatencyModel
 from .errors import ConfigError, require_count, require_finite
+from .masks import mask_to_str, subsets
 from .metrics import RewardWeights, Thresholds
 from .policies import AgentParams
 
@@ -137,9 +138,16 @@ class ExperimentConfig:
             )
         if self.quality.table is not None:
             for key in self.quality.table:
-                if len(mask_from_str(key)) != self.n_cameras:
+                if not isinstance(key, str) or len(key) != self.n_cameras or set(key) - {"0", "1"}:
                     raise ConfigError(
-                        f"quality.table key {key!r} does not have {self.n_cameras} bits"
+                        f"quality.table key {key!r} is not a bitstring of {self.n_cameras} bits"
+                    )
+            # Outages can leave any subset of MIN_VIEWS..k_max selected cameras.
+            for mask in subsets(self.n_cameras, MIN_VIEWS, self.k_max):
+                if mask_to_str(mask) not in self.quality.table:
+                    raise ConfigError(
+                        f"quality.table has no entry for subset {mask_to_str(mask)}; it must "
+                        f"cover every subset of {MIN_VIEWS}..k_max={self.k_max} cameras"
                     )
         if self.disruption is not None:
             d = self.disruption

@@ -6,9 +6,9 @@ the outcome, and once the configured feedback delay has elapsed both policies
 learn from that frame's rewards. Everything is driven by the config seed.
 
 The episode engine builds its lookup tables once per episode (integer
-camera masks, popcounts, base quality by mask, reconstruction latency by
-server and view count, the environment noise drawn in one call) and then
-computes each frame inline, with the same float expressions as
+camera masks, popcounts, base quality by frame and mask, reconstruction
+latency by server and view count, the environment noise drawn in one call)
+and then computes each frame inline, with the same float expressions as
 ``environment.step``, ``camera_reward``, ``server_reward`` and
 ``reliability``, appending to the columns of a FrameLog. ``step`` stays the
 single-frame reference that the tests compare the engine against.
@@ -83,7 +83,12 @@ def build_traces(config: ExperimentConfig) -> tuple[CameraTrace, ServerLatencyTr
 def build_quality_model(config: ExperimentConfig) -> QualityModel:
     spec = config.quality
     if spec.mode == "trace":
-        return load_quality_trace(spec.trace_path, config.n_cameras)
+        model = load_quality_trace(spec.trace_path, config.n_cameras)
+        if len(model.table) < config.n_frames:
+            raise ConfigError(
+                f"quality trace covers {len(model.table)} frames, need {config.n_frames}"
+            )
+        return model
     table = None
     if spec.table is not None:
         table = {mask_from_str(k): float(v) for k, v in spec.table.items()}
@@ -166,12 +171,13 @@ def run_episode(config: ExperimentConfig,
     recon_s = [[(latency.recon_base_ms + latency.recon_per_image_ms * k) * latency.speed(s) / 1000.0
                 for k in range(n_cameras + 1)] for s in range(n_servers)]
     recon_score = [[max(0.0, 1.0 - r / phi_recon) for r in row] for row in recon_s]
-    base = quality_model.base_by_mask
-    columns = quality_model.column_by_mask
-    trace = quality_model.trace
-    trace_frames = 0 if trace is None else trace.shape[0]
+    # Base quality of frame t and integer mask m is quality_rows[t][m]; every
+    # subset the engine can look up has an entry (checked by config.validate
+    # and load_quality_trace).
+    table = quality_model.table
+    quality_rows = table[:n_frames].tolist() if table.ndim == 2 else [table.tolist()] * n_frames
     noise = None
-    if base is not None and quality_model.noise_sd > 0:
+    if quality_model.noise_sd > 0:
         # Frames with >= MIN_VIEWS surviving views take the next value in
         # turn; one bulk draw yields exactly the stream of per-frame draws.
         noise = rng_env.normal(0.0, quality_model.noise_sd, size=n_frames).tolist()
@@ -213,18 +219,11 @@ def run_episode(config: ExperimentConfig,
         k = bits[effective]
         if k < MIN_VIEWS:
             quality = 0.0
-        elif base is not None:
-            quality = base[effective]
-            if quality is None:
-                raise ConfigError(f"quality table has no entry for subset "
-                                  f"{format(effective, f'0{n_cameras}b')}")
+        else:
+            quality = quality_rows[frame][effective]
             if noise is not None:
                 quality = max(0.0, quality + noise[drawn])
                 drawn += 1
-        else:
-            if frame >= trace_frames:
-                raise IndexError(f"frame {frame} beyond quality trace length {trace_frames}")
-            quality = trace.item(frame, columns[effective])
         recon = recon_s[server][k]
         tx = (tx_ms[k] + network_ms[frame][server]) / 1000.0
         total = tx + recon

@@ -7,7 +7,6 @@ actually delivered, plus the server's network latency from the trace.
 
 from __future__ import annotations
 
-import csv
 import math
 from contextlib import closing
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from itertools import compress
 
 import numpy as np
 
-from .csvio import read_csv_rows
+from .csvio import read_csv_rows, write_csv_rows
 from .errors import ConfigError, TraceFormatError, TraceSchemaError, require_finite
 from .masks import Mask, mask_from_str, mask_to_int, mask_to_str, popcount, subsets
 from .metrics import FrameOutcome, Thresholds, reliability
@@ -73,16 +72,6 @@ def synthetic_quality_table(n_cameras: int, camera_weights=None,
     return table
 
 
-def _by_mask(mapping: dict[Mask, object], n_cameras: int) -> list:
-    """The mapping re-keyed by integer mask: a list with None where a mask is absent."""
-    dense = [None] * (1 << n_cameras)
-    for mask, value in mapping.items():
-        if len(mask) != n_cameras:
-            raise ConfigError(f"quality mask {mask_to_str(mask)} does not have {n_cameras} bits")
-        dense[mask_to_int(mask)] = value
-    return dense
-
-
 def _check_monotone(values: np.ndarray, n_cameras: int) -> None:
     """values[mask] is the base quality of each integer mask, NaN where the table has none."""
     def name(mask) -> str:
@@ -105,38 +94,23 @@ def _check_monotone(values: np.ndarray, n_cameras: int) -> None:
 
 
 class QualityModel:
-    """Subset -> matching-points model, either synthetic (table + noise) or a replayed trace.
+    """Subset -> matching-points model: one dense base-quality table plus noise.
 
-    Besides the tuple-keyed ``base`` table or ``trace_columns``, the model
-    keeps the same mapping indexed by integer mask (``base_by_mask`` or
-    ``column_by_mask``, None where a subset is absent) for the episode engine.
+    ``table`` is indexed by integer mask (see the ``masks`` module): 1-D for a
+    synthetic model, one row per frame for a replayed trace. NaN marks a
+    subset the table has no entry for. Gaussian noise of ``noise_sd`` is added
+    to the base quality; a replayed trace has none.
     """
 
-    def __init__(self, *, base: dict[Mask, float] | None = None, noise_sd: float = 0.0,
-                 trace: np.ndarray | None = None, trace_columns: dict[Mask, int] | None = None,
-                 n_cameras: int | None = None):
-        if (base is None) == (trace is None):
-            raise ConfigError("QualityModel needs exactly one of a base table or a trace")
+    def __init__(self, table, noise_sd: float = 0.0):
         require_finite("noise_sd", noise_sd)
         if noise_sd < 0:
             raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
-        self.base = base
+        self.table = table = np.asarray(table, dtype=float)
         self.noise_sd = noise_sd
-        self.trace = trace
-        self.trace_columns = trace_columns
-        if n_cameras is None:
-            n_cameras = len(next(iter(base))) if base is not None else len(next(iter(trace_columns)))
-        self.n_cameras = n_cameras
-        self.base_by_mask = self.column_by_mask = None
-        if base is not None:
-            self.base_by_mask = _by_mask(base, n_cameras)
-            _check_monotone(np.array(self.base_by_mask, dtype=float), n_cameras)
-        else:
-            self.column_by_mask = _by_mask(trace_columns, n_cameras)
-
-    @property
-    def mode(self) -> str:
-        return "synthetic" if self.base is not None else "trace"
+        self.n_cameras = table.shape[-1].bit_length() - 1
+        if table.ndim == 1:
+            _check_monotone(table, self.n_cameras)
 
     @classmethod
     def synthetic(cls, n_cameras: int, noise_sd: float = 0.0, table: dict[Mask, float] | None = None,
@@ -145,19 +119,23 @@ class QualityModel:
                   midpoint: float = DEFAULT_QUALITY_MIDPOINT) -> "QualityModel":
         if table is None:
             table = synthetic_quality_table(n_cameras, camera_weights, ceiling, curve, midpoint)
-        return cls(base=table, noise_sd=noise_sd, n_cameras=n_cameras)
+        dense = np.full(1 << n_cameras, np.nan)
+        for mask, value in table.items():
+            if len(mask) != n_cameras:
+                raise ConfigError(f"quality mask {mask_to_str(mask)} does not have {n_cameras} bits")
+            dense[mask_to_int(mask)] = value
+        return cls(dense, noise_sd)
 
     def base_quality(self, frame: int, effective: Mask) -> float:
-        if self.base is not None:
-            try:
-                return self.base[effective]
-            except KeyError:
-                raise ConfigError(
-                    f"quality table has no entry for subset {mask_to_str(effective)}"
-                ) from None
-        if frame >= self.trace.shape[0]:
-            raise IndexError(f"frame {frame} beyond quality trace length {self.trace.shape[0]}")
-        return float(self.trace[frame, self.trace_columns[effective]])
+        row = self.table
+        if row.ndim == 2:
+            if frame >= row.shape[0]:
+                raise IndexError(f"frame {frame} beyond quality trace length {row.shape[0]}")
+            row = row[frame]
+        quality = float(row[mask_to_int(effective)])
+        if math.isnan(quality):
+            raise ConfigError(f"quality table has no entry for subset {mask_to_str(effective)}")
+        return quality
 
 
 @dataclass(frozen=True)
@@ -217,7 +195,7 @@ def step(frame: int, selected: Mask, server: int, camera_trace, server_trace,
         quality = 0.0
     else:
         quality = quality_model.base_quality(frame, effective)
-        if quality_model.mode == "synthetic" and quality_model.noise_sd > 0:
+        if quality_model.noise_sd > 0:
             if rng is None:
                 raise ValueError("rng is required when noise_sd > 0")
             quality = max(0.0, float(quality + rng.normal(0.0, quality_model.noise_sd)))
@@ -244,7 +222,7 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
 
     Header is `frame` followed by one bitstring column per subset; every
     subset with at least MIN_VIEWS cameras must be present so lookups can
-    never miss at runtime.
+    never miss at runtime. Every cell must be a finite quality >= 0.
     """
     with closing(read_csv_rows(path)) as reader:
         header = next(reader, None)
@@ -265,7 +243,6 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
         if missing:
             listing = ", ".join(sorted(mask_to_str(m) for m in missing))
             raise TraceSchemaError(f"{path}: missing subset columns: {listing}")
-        columns = {mask: i for i, mask in enumerate(masks)}
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -286,22 +263,32 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
                     value = float(cell)
                 except ValueError as exc:
                     raise TraceFormatError(f"bad quality cell {cell!r}", line=lineno) from exc
-                if value < 0:
-                    raise TraceFormatError(f"quality must be >= 0, got {cell!r}", line=lineno)
+                if not math.isfinite(value) or value < 0:
+                    raise TraceFormatError(f"quality must be finite and >= 0, got {cell!r}",
+                                           line=lineno)
                 values.append(value)
             rows.append(values)
     if not rows:
         raise TraceSchemaError(f"{path}: no data rows")
-    return QualityModel(trace=np.array(rows, dtype=float), trace_columns=columns, n_cameras=width)
+    # A subset named by more than one column takes its last column.
+    columns = {mask_to_int(mask): i for i, mask in enumerate(masks)}
+    table = np.full((len(rows), 1 << width), np.nan)
+    table[:, list(columns)] = np.array(rows, dtype=float)[:, list(columns.values())]
+    return QualityModel(table)
 
 
 def write_quality_trace(path, model: QualityModel, n_frames: int) -> None:
-    """Materialize a synthetic model's noise-free base table as a trace CSV."""
-    if model.mode != "synthetic":
-        raise ConfigError("write_quality_trace expects a synthetic model")
-    masks = sorted(model.base, key=mask_to_str)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame"] + [mask_to_str(m) for m in masks])
-        for frame in range(n_frames):
-            writer.writerow([frame] + [repr(float(model.base[m])) for m in masks])
+    """Write a model's noise-free base quality for n_frames frames as a trace CSV.
+
+    One column per subset the table has an entry for, in bitstring order.
+    """
+    table = model.table
+    present = np.flatnonzero(~np.isnan(table if table.ndim == 1 else table[0]))
+    values = table[..., present]
+    rows = [values.tolist()] * n_frames if values.ndim == 1 else values[:n_frames].tolist()
+    if len(rows) < n_frames:
+        raise ConfigError(f"quality trace covers {len(rows)} frames, need {n_frames}")
+    width = f"0{model.n_cameras}b"
+    write_csv_rows(path, ["frame"] + [format(mask, width) for mask in present],
+                   "%d" + ",%r" * present.size + "\r\n",
+                   ((frame, *row) for frame, row in enumerate(rows)))

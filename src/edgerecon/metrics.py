@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import operator
+from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -198,10 +199,10 @@ class FrameLog(Sequence):
 
 
 class RunStats:
-    """Streaming aggregate over per-frame records.
+    """Streaming aggregate over per-frame records: counts, sums and histograms.
 
-    Counts and means are order-insensitive and merging is associative, so
-    stats for replicated runs can be combined freely.
+    The only per-frame values kept are the total latencies, as an array of
+    doubles, which the reports need for their quartiles.
     """
 
     def __init__(self):
@@ -213,9 +214,9 @@ class RunStats:
         self.total_sum = 0.0
         self.camera_subset_histogram: Counter[str] = Counter()
         self.server_histogram: Counter[int] = Counter()
-        self.camera_rewards: list[float] = []
-        self.server_rewards: list[float] = []
-        self.total_latencies: list[float] = []
+        self.camera_reward_sum = 0.0
+        self.server_reward_sum = 0.0
+        self.total_latencies = array("d")
 
     def add(self, record) -> None:
         out = record.outcome
@@ -227,8 +228,8 @@ class RunStats:
         self.total_sum += out.total_latency_s
         self.camera_subset_histogram[mask_to_str(record.mask)] += 1
         self.server_histogram[record.server] += 1
-        self.camera_rewards.append(record.camera_reward)
-        self.server_rewards.append(record.server_reward)
+        self.camera_reward_sum += record.camera_reward
+        self.server_reward_sum += record.server_reward
         self.total_latencies.append(out.total_latency_s)
 
     @classmethod
@@ -236,6 +237,10 @@ class RunStats:
         """The stats that add() would accumulate over every frame of the log.
 
         Sums run left to right from 0.0, as add() does, so the floats match.
+        The total latencies are copied into an array rather than kept as the
+        log's list: holding one column of float objects after the rest of the
+        log is freed leaves the allocator's memory sparse, which slowed the
+        episodes that followed.
         """
         stats = cls()
         stats.frames = len(log)
@@ -244,28 +249,14 @@ class RunStats:
         stats.tx_sum = reduce(operator.add, log.tx_s, 0.0)
         stats.recon_sum = reduce(operator.add, log.recon_s, 0.0)
         stats.total_sum = reduce(operator.add, log.total_s, 0.0)
-        stats.camera_subset_histogram = Counter(log.mask_strings())
+        width = f"0{log.n_cameras}b"
+        stats.camera_subset_histogram = Counter(
+            {format(mask, width): count for mask, count in Counter(log.masks).items()})
         stats.server_histogram = Counter(log.servers)
-        stats.camera_rewards = list(log.camera_reward)
-        stats.server_rewards = list(log.server_reward)
-        stats.total_latencies = list(log.total_s)
+        stats.camera_reward_sum = reduce(operator.add, log.camera_reward, 0.0)
+        stats.server_reward_sum = reduce(operator.add, log.server_reward, 0.0)
+        stats.total_latencies = array("d", log.total_s)
         return stats
-
-    def merge(self, other: "RunStats") -> "RunStats":
-        merged = RunStats()
-        for src in (self, other):
-            merged.frames += src.frames
-            merged.reliable_frames += src.reliable_frames
-            merged.quality_sum += src.quality_sum
-            merged.tx_sum += src.tx_sum
-            merged.recon_sum += src.recon_sum
-            merged.total_sum += src.total_sum
-            merged.camera_subset_histogram.update(src.camera_subset_histogram)
-            merged.server_histogram.update(src.server_histogram)
-            merged.camera_rewards.extend(src.camera_rewards)
-            merged.server_rewards.extend(src.server_rewards)
-            merged.total_latencies.extend(src.total_latencies)
-        return merged
 
     @property
     def reliability_pct(self) -> float:
@@ -296,8 +287,8 @@ class RunStats:
             "avg_tx_latency_s": self.avg_tx_s,
             "avg_recon_latency_s": self.avg_recon_s,
             "avg_total_latency_s": self.avg_total_s,
-            "avg_camera_reward": (sum(self.camera_rewards) / self.frames) if self.frames else 0.0,
-            "avg_server_reward": (sum(self.server_rewards) / self.frames) if self.frames else 0.0,
+            "avg_camera_reward": self.camera_reward_sum / self.frames if self.frames else 0.0,
+            "avg_server_reward": self.server_reward_sum / self.frames if self.frames else 0.0,
             "camera_subset_histogram": dict(sorted(self.camera_subset_histogram.items())),
             "server_histogram": {str(k): v for k, v in sorted(self.server_histogram.items())},
         }

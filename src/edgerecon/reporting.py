@@ -98,16 +98,11 @@ _TABLE_COLUMNS = (
 
 def render_summary_table(bundle: ReportBundle) -> str:
     """Aligned plain-text summary table."""
-    body = [
-        [
-            POLICY_LABELS.get(row.policy, row.policy),
-            f"{row.avg_quality:.0f}",
-            f"{row.avg_recon_s:.2f}",
-            f"{row.avg_total_s:.2f}",
-            f"{row.reliability_pct:.2f}",
-        ]
-        for row in bundle.rows
-    ]
+    body = []
+    for row in bundle.rows:
+        values = (POLICY_LABELS.get(row.policy, row.policy), row.avg_quality, row.avg_recon_s,
+                  row.avg_total_s, row.reliability_pct)
+        body.append([fmt.format(value) for (_name, fmt), value in zip(_TABLE_COLUMNS, values)])
     headers = [name for name, _fmt in _TABLE_COLUMNS]
     widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h)
               for i, h in enumerate(headers)]

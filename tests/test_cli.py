@@ -3,6 +3,7 @@ import json
 import pytest
 
 from edgerecon.cli import (EXIT_CONFIG_ERROR, EXIT_OK, EXIT_TRACE_ERROR, main)
+from edgerecon.environment import QualityModel, write_quality_trace
 from edgerecon.metrics import read_frame_log, recount_reliability
 
 
@@ -139,6 +140,22 @@ class TestRun:
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == EXIT_TRACE_ERROR
         err = capsys.readouterr().err
         assert "trace error: line 122:" in err and message in err
+
+    @pytest.mark.parametrize("frames, cell, code, message", [
+        (100, None, EXIT_CONFIG_ERROR, "config error: quality trace covers 100 frames, need 120"),
+        (120, "nan", EXIT_TRACE_ERROR, "trace error: line 3: quality must be finite"),
+    ], ids=["short-trace", "nan-cell"])
+    def test_bad_quality_trace(self, tmp_path, capsys, frames, cell, code, message):
+        trace = tmp_path / "quality.csv"
+        write_quality_trace(trace, QualityModel.synthetic(5), n_frames=frames)
+        if cell is not None:
+            lines = trace.read_text().splitlines()
+            lines[2] = lines[2].rsplit(",", 1)[0] + "," + cell
+            trace.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, SMALL_CONFIG
+                              + f"quality:\n  mode: trace\n  trace_path: {trace}\n")
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == code
+        assert message in capsys.readouterr().err
 
     def test_missing_trace_dir_is_trace_error(self, tmp_path):
         config = write_config(tmp_path, SMALL_CONFIG + "traces_dir: /nonexistent/nowhere\n")

@@ -276,10 +276,18 @@ class TestConfigDict:
         {"quality": {"mode": "trace"}},   # trace mode without a path
         {"thresholds": 5},                # section must be a mapping
         {"camera_agent": {"alpha": "high"}},
+        {"quality": {"table": {"11000": 300.0}}},   # partial quality table
+        {"quality": {"table": {"1x000": 300.0}}},   # not a bitstring
     ])
     def test_invalid_values_rejected(self, raw):
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+    def test_partial_quality_table_names_first_missing_subset(self):
+        # With k_max=2 every pair of the five cameras needs an entry.
+        table = {"00011": 300.0, "00101": 300.0, "00110": 300.0, "11000": 300.0}
+        with pytest.raises(ConfigError, match="no entry for subset 01001"):
+            config_from_dict({"k_max": 2, "quality": {"table": table}})
 
     @pytest.mark.parametrize("raw, field", [
         ({"quality": {"noise_sd": float("nan")}}, "quality.noise_sd"),

@@ -25,7 +25,7 @@ from edgerecon.controller import (_CAMERA_POLICY_STREAM, _ENV_STREAM, _SERVER_PO
                                   build_server_policy, build_traces, run_episode)
 from edgerecon.disruption import DisruptionParams
 from edgerecon.environment import (LatencyModel, all_masks_with_min_views, mask_to_str, popcount,
-                                   step)
+                                   step, synthetic_quality_table)
 from edgerecon.errors import ConfigError
 from edgerecon.metrics import (FrameRecord, RunStats, Thresholds, camera_reward, server_reward,
                                write_frame_log)
@@ -123,6 +123,13 @@ def small_configs(draw):
     phi_total = draw(st.floats(1.0, 4.0))
     speed = draw(st.none() | st.lists(st.floats(0.5, 2.5), min_size=n_servers,
                                       max_size=n_servers).map(tuple))
+    weights = tuple(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
+    # An explicit table: every subset, or only those a selection within k_max can leave.
+    table = draw(st.sampled_from([None, n, k_max]))
+    if table is not None:
+        table = {mask_to_str(mask): value
+                 for mask, value in synthetic_quality_table(n, weights).items()
+                 if popcount(mask) <= table}
     config = ExperimentConfig(
         n_frames=n_frames, n_cameras=n, n_servers=n_servers, k_min=k_min, k_max=k_max,
         seed=seed,
@@ -133,7 +140,8 @@ def small_configs(draw):
                               phi_recon_s=draw(st.floats(0.5, phi_total))),
         quality=QualitySpec(
             noise_sd=draw(st.sampled_from([0.0, 30.0])),
-            camera_weights=tuple(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n))),
+            camera_weights=weights,
+            table=table,
         ),
         latency=LatencyModel(per_image_tx_ms=draw(st.floats(50.0, 400.0)),
                              server_speed_factor=speed),

@@ -69,7 +69,7 @@ class TestSyntheticTable:
         bad = table3()
         bad[(1, 1, 1)] = 100.0   # smaller than its subsets
         with pytest.raises(ConfigError, match="monotone"):
-            QualityModel(base=bad, n_cameras=3)
+            QualityModel.synthetic(3, table=bad)
 
     def test_weights_length_checked(self):
         with pytest.raises(ConfigError):
@@ -80,7 +80,7 @@ class TestStep:
     def test_all_selected_cameras_disrupted(self):
         camera, server = clean_traces()
         camera.availability[4] = 0
-        model = QualityModel(base=table3(), n_cameras=3)
+        model = QualityModel.synthetic(3, table=table3())
         out = step(4, (1, 1, 1), 0, camera, server, model, LatencyModel(), THR)
         assert out.effective_mask == (0, 0, 0)
         assert out.quality == 0.0
@@ -88,7 +88,7 @@ class TestStep:
 
     def test_noise_free_known_values(self):
         camera, server = clean_traces()
-        model = QualityModel(base=table3(600.0), n_cameras=3)
+        model = QualityModel.synthetic(3, table=table3(600.0))
         out = step(0, (1, 1, 1), 0, camera, server, model, LatencyModel(), THR)
         assert out.quality == 600.0
         # 3 images: tx = 3*350ms + 150ms network = 1.2s; recon = 400 + 3*120 = 760ms.
@@ -101,12 +101,12 @@ class TestStep:
         # Base latencies ~2.2s (tx 1.05 + network 0.4 + recon 0.76); +1s spike breaks 3s.
         camera, server = clean_traces(latency_ms=400.0)
         baseline = step(7, (1, 1, 1), 1, camera, server,
-                        QualityModel(base=table3(), n_cameras=3), LatencyModel(), THR)
+                        QualityModel.synthetic(3, table=table3()), LatencyModel(), THR)
         assert baseline.total_latency_s == pytest.approx(2.21)
         assert baseline.reliable == 1
         server.latency_ms[7, 1] += 1000.0
         out = step(7, (1, 1, 1), 1, camera, server,
-                   QualityModel(base=table3(), n_cameras=3), LatencyModel(), THR)
+                   QualityModel.synthetic(3, table=table3()), LatencyModel(), THR)
         assert out.total_latency_s > 3.0
         assert out.reliable == 0
 
@@ -114,7 +114,7 @@ class TestStep:
         camera, server = clean_traces()
         camera.availability[0, 0] = 0
         camera.availability[0, 1] = 0
-        model = QualityModel(base=table3(), n_cameras=3)
+        model = QualityModel.synthetic(3, table=table3())
         out = step(0, (1, 1, 0), 0, camera, server, model, LatencyModel(), THR,
                    k_min=2, k_max=3)
         assert popcount(out.effective_mask) < MIN_VIEWS
@@ -122,20 +122,20 @@ class TestStep:
 
     def test_noise_free_is_pure(self):
         camera, server = clean_traces()
-        model = QualityModel(base=table3(), n_cameras=3)
+        model = QualityModel.synthetic(3, table=table3())
         a = step(3, (1, 0, 1), 1, camera, server, model, LatencyModel(), THR)
         b = step(3, (1, 0, 1), 1, camera, server, model, LatencyModel(), THR)
         assert a == b
 
     def test_noise_requires_rng(self):
         camera, server = clean_traces()
-        model = QualityModel(base=table3(), noise_sd=10.0, n_cameras=3)
+        model = QualityModel.synthetic(3, noise_sd=10.0, table=table3())
         with pytest.raises(ValueError, match="rng"):
             step(0, (1, 1, 1), 0, camera, server, model, LatencyModel(), THR)
 
     def test_noise_clamped_at_zero(self):
         camera, server = clean_traces()
-        model = QualityModel(base={k: 1.0 for k in table3()}, noise_sd=500.0, n_cameras=3)
+        model = QualityModel.synthetic(3, noise_sd=500.0, table={k: 1.0 for k in table3()})
         rng = np.random.default_rng(0)
         for frame in range(10):
             out = step(frame, (1, 1, 1), 0, camera, server, model, LatencyModel(), THR, rng=rng)
@@ -176,7 +176,7 @@ class TestStep:
 
     def test_server_speed_factor_scales_recon(self):
         camera, server = clean_traces()
-        model = QualityModel(base=table3(), n_cameras=3)
+        model = QualityModel.synthetic(3, table=table3())
         lat = LatencyModel(server_speed_factor=(1.0, 2.0))
         fast = step(0, (1, 1, 1), 0, camera, server, model, lat, THR)
         slow = step(0, (1, 1, 1), 1, camera, server, model, lat, THR)
@@ -185,25 +185,25 @@ class TestStep:
 
     def test_frame_out_of_range(self):
         camera, server = clean_traces(frames=5)
-        model = QualityModel(base=table3(), n_cameras=3)
+        model = QualityModel.synthetic(3, table=table3())
         with pytest.raises(IndexError, match="frame"):
             step(5, (1, 1, 1), 0, camera, server, model, LatencyModel(), THR)
 
     def test_server_out_of_range(self):
         camera, server = clean_traces(n_servers=2)
-        model = QualityModel(base=table3(), n_cameras=3)
+        model = QualityModel.synthetic(3, table=table3())
         with pytest.raises(IndexError, match="server"):
             step(0, (1, 1, 1), 2, camera, server, model, LatencyModel(), THR)
 
     def test_mask_width_checked(self):
         camera, server = clean_traces(n_cameras=3)
-        model = QualityModel(base=table3(), n_cameras=3)
+        model = QualityModel.synthetic(3, table=table3())
         with pytest.raises(ValueError, match="bits"):
             step(0, (1, 1, 1, 1), 0, camera, server, model, LatencyModel(), THR)
 
     def test_subset_bounds_contract(self):
         camera, server = clean_traces()
-        model = QualityModel(base=table3(), n_cameras=3)
+        model = QualityModel.synthetic(3, table=table3())
         with pytest.raises(ValueError, match="bounds"):
             step(0, (1, 0, 0), 0, camera, server, model, LatencyModel(), THR, k_min=2, k_max=3)
 
@@ -214,9 +214,9 @@ class TestQualityTraceIO:
         path = tmp_path / "quality.csv"
         write_quality_trace(path, model, n_frames=4)
         loaded = load_quality_trace(path, n_cameras=5)
-        assert loaded.mode == "trace"
+        assert loaded.noise_sd == 0.0
         for mask in all_masks_with_min_views(5):
-            assert loaded.base_quality(2, mask) == pytest.approx(model.base[mask])
+            assert loaded.base_quality(2, mask) == model.base_quality(0, mask)
 
     def test_missing_column_listed(self, tmp_path):
         model = QualityModel.synthetic(5)
@@ -240,6 +240,18 @@ class TestQualityTraceIO:
         lines[1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceFormatError, match=">= 0"):
+            load_quality_trace(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "quality.csv"
+        write_quality_trace(path, QualityModel.synthetic(5), n_frames=2)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=f"line 3: .*finite.*{cell}"):
             load_quality_trace(path)
 
     @pytest.mark.parametrize("tail, message", [

@@ -210,22 +210,6 @@ class TestRunStats:
         assert stats.reliable_frames == recount
         assert stats.reliability_pct == pytest.approx(100.0 * recount / 200)
 
-    def test_merge_matches_sequential(self):
-        records = [make_record(frame=i, quality=10.0 * i, reliable=i % 2) for i in range(50)]
-        whole = RunStats()
-        for rec in records:
-            whole.add(rec)
-        left, right = RunStats(), RunStats()
-        for rec in records[:20]:
-            left.add(rec)
-        for rec in records[20:]:
-            right.add(rec)
-        merged = left.merge(right)
-        assert merged.frames == whole.frames
-        assert merged.reliable_frames == whole.reliable_frames
-        assert merged.avg_quality == pytest.approx(whole.avg_quality, abs=1e-9)
-        assert merged.camera_subset_histogram == whole.camera_subset_histogram
-
     @given(st.permutations(range(30)))
     def test_order_insensitive_counts_and_means(self, order):
         records = [make_record(frame=i, quality=7.0 * i + 1, reliable=(i * 13) % 2)
