@@ -173,9 +173,12 @@ def run_episode(config: ExperimentConfig,
     recon_score = [[max(0.0, 1.0 - r / phi_recon) for r in row] for row in recon_s]
     # Base quality of frame t and integer mask m is quality_rows[t][m]; every
     # subset the engine can look up has an entry (checked by config.validate
-    # and load_quality_trace).
+    # and load_quality_trace). A synthetic table is one list that every frame
+    # shares. A replayed trace stays in its array: a memoryview per frame
+    # also yields Python floats, without n_frames x 2**n_cameras of them.
     table = quality_model.table
-    quality_rows = table[:n_frames].tolist() if table.ndim == 2 else [table.tolist()] * n_frames
+    quality_rows = ([memoryview(row) for row in table[:n_frames]] if table.ndim == 2
+                    else [table.tolist()] * n_frames)
     noise = None
     if quality_model.noise_sd > 0:
         # Frames with >= MIN_VIEWS surviving views take the next value in

@@ -8,9 +8,10 @@ actually delivered, plus the server's network latency from the trace.
 from __future__ import annotations
 
 import math
+from array import array
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count, islice
 
 import numpy as np
 
@@ -50,6 +51,16 @@ def synthetic_quality_table(n_cameras: int, camera_weights=None,
     lands near 650 matching points, the best triples near 570, and pairs near
     280, straddling the usual 400/500 quality floors.
     """
+    camera_weights = _synthetic_weights(n_cameras, camera_weights, ceiling, curve)
+    table = {}
+    for mask in all_masks_with_min_views(n_cameras):
+        s = sum(compress(camera_weights, mask))
+        table[mask] = ceiling / (1.0 + math.exp(-curve * (s - midpoint)))
+    return table
+
+
+def _synthetic_weights(n_cameras: int, camera_weights, ceiling: float, curve: float) -> list:
+    """The camera weights of a synthetic table, checked along with its curve."""
     if camera_weights is None:
         if n_cameras > len(DEFAULT_CAMERA_WEIGHTS):
             raise ConfigError(
@@ -65,11 +76,27 @@ def synthetic_quality_table(n_cameras: int, camera_weights=None,
         raise ConfigError("camera_weights must be nonnegative")
     if ceiling <= 0 or curve <= 0:
         raise ConfigError("quality ceiling and curve must be > 0")
-    table = {}
-    for mask in all_masks_with_min_views(n_cameras):
-        s = sum(compress(camera_weights, mask))
-        table[mask] = ceiling / (1.0 + math.exp(-curve * (s - midpoint)))
-    return table
+    return list(camera_weights)
+
+
+def _synthetic_dense(n_cameras: int, camera_weights, ceiling: float, curve: float,
+                     midpoint: float) -> np.ndarray:
+    """``synthetic_quality_table`` as a dense array over integer masks, NaN below MIN_VIEWS.
+
+    Each mask's weight sum extends the sum of the mask without its last
+    camera (its lowest set bit), so the members are added in camera order,
+    as ``sum`` adds them, and every value is the same float.
+    """
+    weights = _synthetic_weights(n_cameras, camera_weights, ceiling, curve)
+    size = 1 << n_cameras
+    sums = [0] * size
+    dense = [math.nan] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        s = sums[mask] = sums[mask ^ low] + weights[n_cameras - low.bit_length()]
+        if mask.bit_count() >= MIN_VIEWS:
+            dense[mask] = ceiling / (1.0 + math.exp(-curve * (s - midpoint)))
+    return np.array(dense)
 
 
 def _check_monotone(values: np.ndarray, n_cameras: int) -> None:
@@ -118,7 +145,8 @@ class QualityModel:
                   curve: float = DEFAULT_QUALITY_CURVE,
                   midpoint: float = DEFAULT_QUALITY_MIDPOINT) -> "QualityModel":
         if table is None:
-            table = synthetic_quality_table(n_cameras, camera_weights, ceiling, curve, midpoint)
+            return cls(_synthetic_dense(n_cameras, camera_weights, ceiling, curve, midpoint),
+                       noise_sd)
         dense = np.full(1 << n_cameras, np.nan)
         for mask, value in table.items():
             if len(mask) != n_cameras:
@@ -238,12 +266,21 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
         width = widths.pop()
         if n_cameras is not None and width != n_cameras:
             raise TraceSchemaError(f"{path}: mask columns have {width} bits, expected {n_cameras}")
-        required = set(all_masks_with_min_views(width))
-        missing = required - set(masks)
-        if missing:
-            listing = ", ".join(sorted(mask_to_str(m) for m in missing))
-            raise TraceSchemaError(f"{path}: missing subset columns: {listing}")
-        rows = []
+        # Count the required subsets the header names before listing any,
+        # so a wide header fails without enumerating 2**width subsets.
+        present = {mask_to_int(m) for m in masks}
+        need = (1 << width) - 1 - width
+        have = sum(1 for m in present if m.bit_count() >= MIN_VIEWS)
+        if have < need:
+            missing = islice((m for m in count() if m.bit_count() >= MIN_VIEWS
+                              and m not in present), 3)
+            listing = ", ".join(format(m, f"0{width}b") for m in missing)
+            raise TraceSchemaError(
+                f"{path}: missing {need - have} subset columns: {listing}"
+                + (", ..." if need - have > 3 else "")
+            )
+        cells = array("d")    # every quality cell, row after row
+        n_rows = 0
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise TraceSchemaError(
@@ -253,11 +290,10 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
                 frame = int(row[0])
             except ValueError as exc:
                 raise TraceFormatError(f"bad frame index {row[0]!r}", line=lineno) from exc
-            if frame != len(rows):
+            if frame != n_rows:
                 raise TraceSchemaError(
                     f"{path}: frame index {frame} at line {lineno} does not match row position"
                 )
-            values = []
             for cell in row[1:]:
                 try:
                     value = float(cell)
@@ -266,14 +302,14 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
                 if not math.isfinite(value) or value < 0:
                     raise TraceFormatError(f"quality must be finite and >= 0, got {cell!r}",
                                            line=lineno)
-                values.append(value)
-            rows.append(values)
-    if not rows:
+                cells.append(value)
+            n_rows += 1
+    if not n_rows:
         raise TraceSchemaError(f"{path}: no data rows")
     # A subset named by more than one column takes its last column.
     columns = {mask_to_int(mask): i for i, mask in enumerate(masks)}
-    table = np.full((len(rows), 1 << width), np.nan)
-    table[:, list(columns)] = np.array(rows, dtype=float)[:, list(columns.values())]
+    table = np.full((n_rows, 1 << width), np.nan)
+    table[:, list(columns)] = np.frombuffer(cells).reshape(n_rows, -1)[:, list(columns.values())]
     return QualityModel(table)
 
 

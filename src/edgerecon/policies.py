@@ -64,41 +64,72 @@ def epsilon_greedy(q_values, epsilon: float, rng) -> int:
 
 
 class QTable:
-    """Lazily materialized (state, action) value table; absent entries read as 0."""
+    """Lazily materialized (state, action) value table; absent entries read as 0.
+
+    Every materialized row keeps its greedy action: the first index of its
+    maximum, as ``argmax`` picks it. ``q_update`` is the only write path and
+    keeps that index current, so selecting the greedy action needs no scan.
+    ``rows`` and ``row()`` hand out read-only views of the values.
+    """
 
     def __init__(self, n_actions: int):
         self.n_actions = n_actions
         self.rows: dict[str, np.ndarray] = {}
+        self._values: dict[str, np.ndarray] = {}   # writable arrays behind rows
+        self._greedy: dict[str, int] = {}
 
-    def row(self, state: str) -> np.ndarray:
-        values = self.rows.get(state)
-        if values is None:
-            values = self.rows[state] = np.zeros(self.n_actions)
+    def _add(self, state: str, values: np.ndarray, greedy: int) -> np.ndarray:
+        view = values.view()
+        view.flags.writeable = False
+        self.rows[state] = view
+        self._values[state] = values
+        self._greedy[state] = greedy
         return values
 
+    def row(self, state: str) -> np.ndarray:
+        if state not in self.rows:
+            self._add(state, np.zeros(self.n_actions), 0)
+        return self.rows[state]
+
+    def greedy(self, state: str) -> int:
+        """First action of maximal value in ``state``, materializing its row."""
+        greedy = self._greedy.get(state)
+        if greedy is None:
+            self._add(state, np.zeros(self.n_actions), 0)
+            greedy = 0
+        return greedy
+
     def value(self, state: str, action: int) -> float:
-        values = self.rows.get(state)
-        return 0.0 if values is None else float(values[action])
+        values = self._values.get(state)
+        return 0.0 if values is None else values.item(action)
 
     def max_value(self, state: str) -> float:
-        values = self.rows.get(state)
-        return 0.0 if values is None else float(values.max())
+        values = self._values.get(state)
+        return 0.0 if values is None else values.item(self._greedy[state])
 
     def to_dict(self) -> dict:
         return {
             "n_actions": self.n_actions,
-            "rows": {state: [float(v) for v in values] for state, values in sorted(self.rows.items())},
+            "rows": {state: values.tolist() for state, values in sorted(self._values.items())},
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "QTable":
         table = cls(int(payload["n_actions"]))
-        for state, values in payload["rows"].items():
-            if len(values) != table.n_actions:
+        for state, cells in payload["rows"].items():
+            if not isinstance(cells, list) or len(cells) != table.n_actions:
                 raise ConfigError(
-                    f"snapshot row {state!r} has {len(values)} values, expected {table.n_actions}"
+                    f"snapshot row {state!r} must be a list of {table.n_actions} values"
                 )
-            table.rows[state] = np.asarray(values, dtype=float)
+            try:
+                finite = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                             and math.isfinite(v) for v in cells)
+            except OverflowError:   # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise ConfigError(f"snapshot row {state!r} holds a non-finite or non-numeric value")
+            values = np.array(cells, dtype=float)
+            table._add(state, values, int(values.argmax()))
         return table
 
     def save_json(self, path) -> None:
@@ -114,18 +145,36 @@ class QTable:
 
 def q_update(table: QTable, state: str, action: int, reward: float, next_state: str,
              alpha: float, gamma: float) -> float:
-    """One temporal-difference step; returns the new value of (state, action)."""
+    """One temporal-difference step; returns the new value of (state, action).
+
+    The bootstrap reads the next state's greedy value (0.0 for a state never
+    materialized, which stays so). The write then moves the greedy action:
+    to ``action`` if its value overtakes the maximum, or ties it at a lower
+    index; by a rescan only if the greedy action itself drops. With finite
+    values this is exactly ``argmax``, -0.0 and 0.0 comparing equal.
+    """
     if not math.isfinite(reward):
         raise ValueError(f"reward must be finite, got {reward}")
-    row = table.row(state)
-    following = row if next_state == state else table.rows.get(next_state)
-    # item(argmax()) reads the row maximum without ndarray.max's Python-level
-    # wrapper; rows hold finite values only (rewards are checked above), so
-    # the value is the same.
-    target = reward + gamma * (0.0 if following is None else following.item(following.argmax()))
-    value = row.item(action)
+    greedy = table._greedy
+    values = table._values.get(state)
+    if values is None:
+        values = table._add(state, np.zeros(table.n_actions), 0)
+    best = greedy[state]
+    top = values.item(best)
+    if next_state == state:
+        following = top
+    else:
+        nxt = table._values.get(next_state)
+        following = 0.0 if nxt is None else nxt.item(greedy[next_state])
+    target = reward + gamma * following
+    value = values.item(action)
     value += alpha * (target - value)
-    row[action] = value
+    values[action] = value
+    if action == best:
+        if value < top:
+            greedy[state] = int(values.argmax())
+    elif value > top or (value == top and action < best):
+        greedy[state] = action
     return value
 
 
@@ -208,48 +257,56 @@ def adapt_params(alpha: float, epsilon: float, params: AgentParams, degraded: bo
     return alpha, epsilon
 
 
-class _AdaptiveMixin:
-    """Shared reward-history bookkeeping for agents with adaptive alpha/epsilon."""
+class _QLearner:
+    """The Q agents' shared part: table, epsilon-greedy choice, adaptive alpha/epsilon."""
 
-    def _init_adaptive(self, params: AgentParams) -> None:
+    def __init__(self, n_actions: int, params: AgentParams):
+        params.validate()
         self.params = params
         self.alpha = params.alpha
         self.epsilon = params.epsilon
         self.reward_history: deque[float] = deque(maxlen=2 * params.degradation_window)
+        self.table = QTable(n_actions)
+        self._selections = 0
+        self._gamma = params.gamma
+        self._adaptive = params.adaptive
+        self._window = params.degradation_window
+        self._drop = params.degradation_drop
 
-    def _after_learn(self, reward: float) -> None:
-        self.reward_history.append(reward)
-        if self.params.adaptive:
-            degraded = detect_degradation(
-                self.reward_history, self.params.degradation_window, self.params.degradation_drop
-            )
+    def _choose(self, state: str, rng) -> int:
+        """Random action with probability epsilon, else the greedy one (as epsilon_greedy)."""
+        self._selections += 1
+        epsilon = self.epsilon
+        if epsilon > 0 and rng.random() < epsilon:
+            return int(rng.integers(self.table.n_actions))
+        return self.table.greedy(state)
+
+    def _learn(self, state: str, action: int, reward: float, next_state: str) -> None:
+        if self._selections == 0:
+            raise RuntimeError("learn() called before any select()")
+        q_update(self.table, state, action, reward, next_state, self.alpha, self._gamma)
+        history = self.reward_history
+        history.append(reward)
+        if self._adaptive:
+            degraded = detect_degradation(history, self._window, self._drop)
             self.alpha, self.epsilon = adapt_params(self.alpha, self.epsilon, self.params, degraded)
 
 
-class QLearningCameraPolicy(_AdaptiveMixin):
+class QLearningCameraPolicy(_QLearner):
     """Stateless subset learner: one abstract state, values driven by reward alone."""
 
     STATE = "global"
 
     def __init__(self, space: ActionSpace, params: AgentParams):
-        params.validate()
+        super().__init__(len(space), params)
         self.space = space
-        self._init_adaptive(params)
-        self.table = QTable(len(space))
-        self._selections = 0
 
     def select(self, rng) -> Mask:
-        self._selections += 1
-        idx = epsilon_greedy(self.table.row(self.STATE), self.epsilon, rng)
-        return self.space.actions[idx]
+        return self.space.actions[self._choose(self.STATE, rng)]
 
     def learn(self, mask: Mask, reward: float, quality: float | None = None) -> None:
-        if self._selections == 0:
-            raise RuntimeError("learn() called before any select()")
-        idx = self.space.index[mask]
         # Single abstract state: the bootstrap term is gamma * max over the same row.
-        q_update(self.table, self.STATE, idx, reward, self.STATE, self.alpha, self.params.gamma)
-        self._after_learn(reward)
+        self._learn(self.STATE, self.space.index[mask], reward, self.STATE)
 
 
 class RandomCameraPolicy:
@@ -333,29 +390,28 @@ class ServerState(NamedTuple):
         return f"{self.n_selected}|{self.prev_server}"
 
 
-class QLearningServerPolicy(_AdaptiveMixin):
+class QLearningServerPolicy(_QLearner):
     """Server learner over (camera count, previous server) states."""
 
     def __init__(self, n_servers: int, params: AgentParams):
-        params.validate()
+        super().__init__(n_servers, params)
         if n_servers < 1:
             raise ConfigError(f"n_servers must be >= 1, got {n_servers}")
         self.n_servers = n_servers
-        self._init_adaptive(params)
-        self.table = QTable(n_servers)
-        self._selections = 0
+        self._keys: dict[ServerState, str] = {}   # each state's table key, built once
+
+    def _key(self, state: ServerState) -> str:
+        key = self._keys.get(state)
+        if key is None:
+            key = self._keys[state] = state.key()
+        return key
 
     def select(self, frame: int, state: ServerState, rng) -> int:
-        self._selections += 1
-        return epsilon_greedy(self.table.row(state.key()), self.epsilon, rng)
+        return self._choose(self._key(state), rng)
 
     def learn(self, state: ServerState, action: int, reward: float, next_state: ServerState,
               total_latency_s: float | None = None) -> None:
-        if self._selections == 0:
-            raise RuntimeError("learn() called before any select()")
-        q_update(self.table, state.key(), action, reward, next_state.key(),
-                 self.alpha, self.params.gamma)
-        self._after_learn(reward)
+        self._learn(self._key(state), action, reward, self._key(next_state))
 
 
 class RoundRobinServerPolicy:

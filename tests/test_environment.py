@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from edgerecon.environment import (MIN_VIEWS, LatencyModel, QualityModel, all_ma
                                    mask_to_str, popcount, step, synthetic_quality_table,
                                    write_quality_trace)
 from edgerecon.errors import ConfigError, TraceFormatError, TraceSchemaError
+from edgerecon.masks import mask_to_int
 from edgerecon.metrics import Thresholds
 
 THR = Thresholds(theta=400.0, phi_total_s=3.0, phi_recon_s=1.0)
@@ -70,6 +73,31 @@ class TestSyntheticTable:
         bad[(1, 1, 1)] = 100.0   # smaller than its subsets
         with pytest.raises(ConfigError, match="monotone"):
             QualityModel.synthetic(3, table=bad)
+
+    def test_dense_table_equals_dict_table(self):
+        # QualityModel.synthetic builds its table over integer masks; every
+        # value must be the float synthetic_quality_table computes.
+        rng = np.random.default_rng(5)
+        cases = [(n, None) for n in range(2, 6)] + [(4, (1, 0, 2, 0)), (3, (0.0, 0.0, 0.0))]
+        cases += [(n, tuple(rng.uniform(0, 2, n))) for n in range(2, 13) for _ in range(3)]
+        for n, weights in cases:
+            expected = np.full(1 << n, np.nan)
+            for mask, value in synthetic_quality_table(n, weights).items():
+                expected[mask_to_int(mask)] = value
+            model = QualityModel.synthetic(n, camera_weights=weights)
+            assert model.table.tobytes() == expected.tobytes(), (n, weights)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_cameras": 6},
+        {"n_cameras": 3, "camera_weights": (1.0, 2.0)},
+        {"n_cameras": 2, "camera_weights": (1.0, -0.5)},
+        {"n_cameras": 2, "ceiling": 0.0},
+        {"n_cameras": 2, "curve": -1.0},
+    ])
+    def test_dense_route_keeps_parameter_errors(self, kwargs):
+        for build in (synthetic_quality_table, QualityModel.synthetic):
+            with pytest.raises(ConfigError):
+                build(**kwargs)
 
     def test_weights_length_checked(self):
         with pytest.raises(ConfigError):
@@ -229,6 +257,17 @@ class TestQualityTraceIO:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(TraceSchemaError, match="01011"):
             load_quality_trace(path)
+
+    def test_wide_header_fails_fast(self, tmp_path):
+        # One 40-bit column cannot cover 2**40 - 41 required subsets; the
+        # loader must say so without enumerating them.
+        path = tmp_path / "quality.csv"
+        path.write_text("frame," + "1" * 40 + "\n0,1.0\n")
+        start = time.perf_counter()
+        with pytest.raises(TraceSchemaError, match="missing 1099511627734 subset columns: "
+                           + "0" * 38 + "11, " + "0" * 37 + "101, " + "0" * 37 + "110, ...$"):
+            load_quality_trace(path)
+        assert time.perf_counter() - start < 1.0
 
     def test_negative_cell_rejected(self, tmp_path):
         model = QualityModel.synthetic(5)

@@ -108,6 +108,65 @@ class TestQTable:
         with pytest.raises(ConfigError):
             QTable.from_dict({"n_actions": 2, "rows": {"s": [1.0, 2.0, 3.0]}})
 
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf"), 10 ** 400,
+                                      "1.0", None, True, [1.0]])
+    def test_snapshot_cells_must_be_finite_numbers(self, cell):
+        with pytest.raises(ConfigError, match="'bad'"):
+            QTable.from_dict({"n_actions": 2, "rows": {"ok": [0.0, 1], "bad": [0.5, cell]}})
+
+    def test_snapshot_load_computes_greedy_action(self):
+        table = QTable.from_dict({"n_actions": 4, "rows": {"s": [-0.0, 2.0, 0.5, 2.0]}})
+        assert table.greedy("s") == 1
+        assert table.max_value("s") == 2.0
+
+    def test_greedy_rescans_when_its_value_drops(self):
+        table = QTable.from_dict({"n_actions": 3, "rows": {"s": [1.0, 1.0 - 1e-12, 0.5]}})
+        q_update(table, "s", 0, 1.0 - 2e-12, "s2", alpha=1.0, gamma=0.0)
+        assert table.greedy("s") == 1
+
+    def test_rows_are_read_only(self):
+        table = QTable(3)
+        q_update(table, "s", 1, 0.5, "s", 0.5, 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            table.row("s")[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.rows["s"][2] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.row("fresh")[0] = 1.0
+        assert table.to_dict()["rows"] == {"fresh": [0.0] * 3, "s": [0.0, 0.25, 0.0]}
+        assert table.greedy("s") == 1
+
+    @given(st.data())
+    def test_greedy_cache_matches_argmax(self, data):
+        # Ties, -0.0 next to 0.0 (only a loaded snapshot can hold -0.0), a
+        # greedy value that falls, and next states that are never materialized.
+        n = data.draw(st.integers(1, 4))
+        cells = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+        loaded = data.draw(st.dictionaries(st.sampled_from("ab"),
+                                           st.lists(cells, min_size=n, max_size=n)))
+        table = QTable.from_dict({"n_actions": n, "rows": loaded})
+        plain = {state: np.array(values, dtype=float) for state, values in loaded.items()}
+        updates = st.tuples(
+            st.sampled_from("abc"), st.integers(0, n - 1),
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-10, 10)),
+            st.sampled_from("abcz"), st.sampled_from([1.0, 0.5, 0.3]),
+            st.sampled_from([0.0, 0.5, 0.9]))
+        for state, action, reward, next_state, alpha, gamma in data.draw(
+                st.lists(updates, max_size=30)):
+            row = plain.setdefault(state, np.zeros(n))
+            following = plain.get(next_state)
+            target = reward + gamma * (0.0 if following is None else float(following.max()))
+            value = float(row[action])
+            value += alpha * (target - value)
+            row[action] = value
+            assert q_update(table, state, action, reward, next_state, alpha, gamma) == value
+            assert "z" not in table.rows
+            assert table.rows.keys() == plain.keys()
+            for key, values in plain.items():
+                assert np.array_equal(table.rows[key], values)
+                assert table.greedy(key) == int(values.argmax())
+                assert table.max_value(key) == values.max()
+
 
 class TestQUpdate:
     def test_single_step_from_zero(self):
@@ -117,7 +176,7 @@ class TestQUpdate:
 
     def test_zero_td_error_is_noop(self):
         table = QTable(2)
-        table.row("s")[0] = 0.42
+        q_update(table, "s", 0, 0.42, "s2", alpha=1.0, gamma=0.0)
         new = q_update(table, "s", 0, 0.42, "s2", alpha=0.7, gamma=0.0)
         assert new == pytest.approx(0.42)
 
@@ -134,7 +193,7 @@ class TestQUpdate:
 
     def test_bootstrap_uses_next_state_max(self):
         table = QTable(2)
-        table.row("next")[1] = 2.0
+        q_update(table, "next", 1, 2.0, "s2", alpha=1.0, gamma=0.0)
         new = q_update(table, "s", 0, 0.0, "next", alpha=1.0, gamma=0.5)
         assert new == pytest.approx(1.0)
 
@@ -220,7 +279,7 @@ class TestCameraQLearning:
     def test_greedy_sticks_to_learned_action(self):
         space = enumerate_actions(3, 2, 3)
         agent = QLearningCameraPolicy(space, AgentParams(epsilon=0.0))
-        agent.table.row(agent.STATE)[2] = 0.5
+        q_update(agent.table, agent.STATE, 2, 0.5, "other", alpha=1.0, gamma=0.0)
         rng = np.random.default_rng(0)
         for _ in range(10):
             assert agent.select(rng) == space.actions[2]
