@@ -15,7 +15,7 @@ import yaml
 from .disruption import DisruptionParams
 from .environment import MIN_VIEWS, LatencyModel
 from .errors import ConfigError, require_count, require_finite
-from .masks import mask_to_str, subsets
+from .masks import MAX_CAMERAS, bitstring, subsets
 from .metrics import RewardWeights, Thresholds
 from .policies import AgentParams
 
@@ -94,6 +94,8 @@ class ExperimentConfig:
         for name in ("n_frames", "n_cameras", "n_servers"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.n_cameras > MAX_CAMERAS:
+            raise ConfigError(f"n_cameras must be <= {MAX_CAMERAS}, got {self.n_cameras}")
         if not 1 <= self.k_min <= self.k_max <= self.n_cameras:
             raise ConfigError(
                 f"need 1 <= k_min <= k_max <= n_cameras, got "
@@ -144,9 +146,10 @@ class ExperimentConfig:
                     )
             # Outages can leave any subset of MIN_VIEWS..k_max selected cameras.
             for mask in subsets(self.n_cameras, MIN_VIEWS, self.k_max):
-                if mask_to_str(mask) not in self.quality.table:
+                key = bitstring(mask, self.n_cameras)
+                if key not in self.quality.table:
                     raise ConfigError(
-                        f"quality.table has no entry for subset {mask_to_str(mask)}; it must "
+                        f"quality.table has no entry for subset {key}; it must "
                         f"cover every subset of {MIN_VIEWS}..k_max={self.k_max} cameras"
                     )
         if self.disruption is not None:

@@ -5,13 +5,15 @@ Each frame: the camera policy picks a subset, the server policy observes
 the outcome, and once the configured feedback delay has elapsed both policies
 learn from that frame's rewards. Everything is driven by the config seed.
 
-The episode engine builds its lookup tables once per episode (integer
-camera masks, popcounts, base quality by frame and mask, reconstruction
-latency by server and view count, the environment noise drawn in one call)
-and then computes each frame inline, with the same float expressions as
-``environment.step``, ``camera_reward``, ``server_reward`` and
-``reliability``, appending to the columns of a FrameLog. ``step`` stays the
-single-frame reference that the tests compare the engine against.
+The camera policy's subset is an integer mask (see the ``masks`` module)
+that indexes the engine's tables directly. The engine builds those tables
+once per episode (camera availability as integer masks, popcounts, base
+quality by frame and mask, reconstruction latency by server and view count,
+the environment noise drawn in one call) and then computes each frame
+inline, with the same float expressions as ``environment.step``,
+``camera_reward``, ``server_reward`` and ``reliability``, appending to the
+columns of a FrameLog. ``step`` stays the single-frame reference that the
+tests compare the engine against.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import numpy as np
 from .config import ExperimentConfig
 from .disruption import (CameraTrace, ServerLatencyTrace, generate_camera_trace,
                          generate_server_trace, load_traces)
-from .environment import MIN_VIEWS, QualityModel, load_quality_trace, mask_from_str
+from .environment import MIN_VIEWS, QualityModel, load_quality_trace
 from .errors import ConfigError
-from .masks import Mask, mask_to_int, mask_to_str, popcount
+from .masks import bitstring, mask_from_str
 from .metrics import FrameLog, RunStats
 from .policies import (BanditCameraPolicy, GreedyTripletCameraPolicy, LatencyGreedyServerPolicy,
                        QLearningCameraPolicy, QLearningServerPolicy, RandomCameraPolicy,
@@ -103,17 +105,6 @@ def build_quality_model(config: ExperimentConfig) -> QualityModel:
     )
 
 
-def _mask_index(mask: Mask, n_cameras: int, k_min: int, k_max: int) -> int:
-    """A policy's mask checked as ``step`` checks it, in its integer form."""
-    if len(mask) != n_cameras:
-        raise ValueError(f"mask has {len(mask)} bits, trace has {n_cameras} cameras")
-    if not k_min <= popcount(mask) <= k_max:
-        raise ValueError(f"mask {mask_to_str(mask)} violates subset bounds [{k_min}, {k_max}]")
-    if any(bit not in (0, 1) for bit in mask):
-        raise ValueError(f"mask {mask!r} must hold only 0/1 bits")
-    return mask_to_int(mask)
-
-
 def run_episode(config: ExperimentConfig,
                 camera_trace: CameraTrace | None = None,
                 server_trace: ServerLatencyTrace | None = None,
@@ -155,8 +146,8 @@ def run_episode(config: ExperimentConfig,
     rng_cam = np.random.default_rng([config.seed, _CAMERA_POLICY_STREAM])
     rng_srv = np.random.default_rng([config.seed, _SERVER_POLICY_STREAM])
 
-    # Per-episode lookup tables. Masks are integers with camera 0 as the
-    # most significant bit.
+    # Per-episode lookup tables, indexed by integer mask where they hold one
+    # entry per subset.
     n_servers, k_min, k_max = config.n_servers, config.k_min, config.k_max
     theta = config.thresholds.theta
     phi_total = config.thresholds.phi_total_s
@@ -166,7 +157,8 @@ def run_episode(config: ExperimentConfig,
     place = 1 << np.arange(n_cameras - 1, -1, -1, dtype=np.int64)
     availability = ((camera_trace.availability[:n_frames].astype(np.int64) & 1) @ place).tolist()
     network_ms = server_trace.latency_ms[:n_frames].tolist()
-    bits = [mask.bit_count() for mask in range(1 << n_cameras)]
+    n_masks = 1 << n_cameras
+    bits = [mask.bit_count() for mask in range(n_masks)]
     tx_ms = [latency.per_image_tx_ms * k for k in range(n_cameras + 1)]
     recon_s = [[(latency.recon_base_ms + latency.recon_per_image_ms * k) * latency.speed(s) / 1000.0
                 for k in range(n_cameras + 1)] for s in range(n_servers)]
@@ -184,7 +176,6 @@ def run_episode(config: ExperimentConfig,
         # Frames with >= MIN_VIEWS surviving views take the next value in
         # turn; one bulk draw yields exactly the stream of per-frame draws.
         noise = rng_env.normal(0.0, quality_model.noise_sd, size=n_frames).tolist()
-    mask_ids: dict[Mask, int] = {}    # masks seen so far, checked once each
 
     log = FrameLog(n_cameras, availability)
     add_mask, add_server = log.masks.append, log.servers.append
@@ -202,7 +193,7 @@ def run_episode(config: ExperimentConfig,
     # A fresh ServerState per frame, built without NamedTuple's Python-level __new__.
     new_state = tuple.__new__
     delay = config.feedback_delay_frames
-    sels: list[Mask] = []             # with delayed feedback: selections and states
+    sels: list[int] = []              # with delayed feedback: selections and states
     states: list[ServerState] = []    # awaiting their learn calls
     nan = float("nan")
     drawn = 0
@@ -210,15 +201,15 @@ def run_episode(config: ExperimentConfig,
 
     for frame in range(n_frames):
         sel = cam_select(rng_cam)
-        mask = mask_ids.get(sel)
-        state = new_state(ServerState, (popcount(sel) if mask is None else bits[mask], prev_server))
+        if not (0 <= sel < n_masks and k_min <= bits[sel] <= k_max):
+            raise ValueError(f"mask {bitstring(sel, n_cameras)} is not a subset of "
+                             f"{k_min}..{k_max} of the {n_cameras} cameras")
+        state = new_state(ServerState, (bits[sel], prev_server))
         server = srv_select(frame, state, rng_srv)
         if not 0 <= server < n_servers:
             raise IndexError(f"server {server} out of range, trace has {n_servers}")
-        if mask is None:
-            mask = mask_ids[sel] = _mask_index(sel, n_cameras, k_min, k_max)
 
-        effective = mask & availability[frame]
+        effective = sel & availability[frame]
         k = bits[effective]
         if k < MIN_VIEWS:
             quality = 0.0
@@ -233,7 +224,7 @@ def run_episode(config: ExperimentConfig,
         r_cam = w1 * min(1.0, quality / theta) + w2 * recon_score[server][k]
         r_srv = max(0.0, 1.0 - total / phi_total)
 
-        add_mask(mask)
+        add_mask(sel)
         add_server(server)
         add_quality(quality)
         add_tx(tx)
@@ -255,7 +246,7 @@ def run_episode(config: ExperimentConfig,
             # Immediate feedback: frame t+1 has not happened yet, so
             # bootstrap as if the subset size carried over.
             cam_learn(sel, r_cam, quality=quality)
-            srv_learn(state, server, r_srv, new_state(ServerState, (bits[mask], server)), total)
+            srv_learn(state, server, r_srv, new_state(ServerState, (bits[sel], server)), total)
         else:
             sels.append(sel)
             states.append(state)

@@ -11,13 +11,13 @@ import math
 from array import array
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import compress, count, islice
+from itertools import count, islice
 
 import numpy as np
 
 from .csvio import read_csv_rows, write_csv_rows
 from .errors import ConfigError, TraceFormatError, TraceSchemaError, require_finite
-from .masks import Mask, mask_from_str, mask_to_int, mask_to_str, popcount, subsets
+from .masks import Mask, bitstring, mask_from_str, mask_to_int, mask_to_str
 from .metrics import FrameOutcome, Thresholds, reliability
 
 # Two overlapping views are the hard floor for triangulating any geometry.
@@ -27,36 +27,6 @@ DEFAULT_CAMERA_WEIGHTS = (0.82, 0.81, 0.80, 0.79, 0.78)
 DEFAULT_QUALITY_CEILING = 660.0
 DEFAULT_QUALITY_CURVE = 2.6
 DEFAULT_QUALITY_MIDPOINT = 1.72
-
-
-def apply_availability(mask: Mask, availability_row) -> Mask:
-    """Drop the cameras that are disrupted this frame."""
-    return tuple(int(b) & int(a) for b, a in zip(mask, availability_row))
-
-
-def all_masks_with_min_views(n_cameras: int) -> list[Mask]:
-    """Every subset with at least MIN_VIEWS cameras, in bitstring order."""
-    return subsets(n_cameras, MIN_VIEWS, n_cameras)
-
-
-def synthetic_quality_table(n_cameras: int, camera_weights=None,
-                            ceiling: float = DEFAULT_QUALITY_CEILING,
-                            curve: float = DEFAULT_QUALITY_CURVE,
-                            midpoint: float = DEFAULT_QUALITY_MIDPOINT) -> dict[Mask, float]:
-    """Monotone base-quality table, sigmoid in the summed camera weights.
-
-    base(subset) = ceiling / (1 + exp(-curve * (sum of member weights - midpoint))).
-    Two views sit on the low shoulder (matching barely succeeds), three or
-    more ride the saturating top, so with the defaults a full five-camera rig
-    lands near 650 matching points, the best triples near 570, and pairs near
-    280, straddling the usual 400/500 quality floors.
-    """
-    camera_weights = _synthetic_weights(n_cameras, camera_weights, ceiling, curve)
-    table = {}
-    for mask in all_masks_with_min_views(n_cameras):
-        s = sum(compress(camera_weights, mask))
-        table[mask] = ceiling / (1.0 + math.exp(-curve * (s - midpoint)))
-    return table
 
 
 def _synthetic_weights(n_cameras: int, camera_weights, ceiling: float, curve: float) -> list:
@@ -81,11 +51,17 @@ def _synthetic_weights(n_cameras: int, camera_weights, ceiling: float, curve: fl
 
 def _synthetic_dense(n_cameras: int, camera_weights, ceiling: float, curve: float,
                      midpoint: float) -> np.ndarray:
-    """``synthetic_quality_table`` as a dense array over integer masks, NaN below MIN_VIEWS.
+    """Monotone base-quality table over integer masks, NaN below MIN_VIEWS.
+
+    base(subset) = ceiling / (1 + exp(-curve * (sum of member weights - midpoint))).
+    Two views sit on the low shoulder (matching barely succeeds), three or
+    more ride the saturating top, so with the defaults a full five-camera rig
+    lands near 650 matching points, the best triples near 570, and pairs near
+    280, straddling the usual 400/500 quality floors.
 
     Each mask's weight sum extends the sum of the mask without its last
     camera (its lowest set bit), so the members are added in camera order,
-    as ``sum`` adds them, and every value is the same float.
+    as ``sum`` over the members would add them.
     """
     weights = _synthetic_weights(n_cameras, camera_weights, ceiling, curve)
     size = 1 << n_cameras
@@ -102,7 +78,7 @@ def _synthetic_dense(n_cameras: int, camera_weights, ceiling: float, curve: floa
 def _check_monotone(values: np.ndarray, n_cameras: int) -> None:
     """values[mask] is the base quality of each integer mask, NaN where the table has none."""
     def name(mask) -> str:
-        return format(int(mask), f"0{n_cameras}b")
+        return bitstring(int(mask), n_cameras)
 
     present = ~np.isnan(values)
     negative = np.flatnonzero(present & (values < 0))
@@ -212,12 +188,13 @@ def step(frame: int, selected: Mask, server: int, camera_trace, server_trace,
         raise ValueError(
             f"mask has {len(selected)} bits, trace has {camera_trace.n_cameras} cameras"
         )
-    k_sel = popcount(selected)
+    k_sel = sum(selected)
     if k_min is not None and k_max is not None and not k_min <= k_sel <= k_max:
         raise ValueError(f"mask {mask_to_str(selected)} violates subset bounds [{k_min}, {k_max}]")
 
-    effective = apply_availability(selected, camera_trace.availability[frame])
-    k_eff = popcount(effective)
+    # Disrupted cameras drop out of the selection for this frame.
+    effective = tuple(int(b) & int(a) for b, a in zip(selected, camera_trace.availability[frame]))
+    k_eff = sum(effective)
 
     if k_eff < MIN_VIEWS:
         quality = 0.0
@@ -274,7 +251,7 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
         if have < need:
             missing = islice((m for m in count() if m.bit_count() >= MIN_VIEWS
                               and m not in present), 3)
-            listing = ", ".join(format(m, f"0{width}b") for m in missing)
+            listing = ", ".join(bitstring(m, width) for m in missing)
             raise TraceSchemaError(
                 f"{path}: missing {need - have} subset columns: {listing}"
                 + (", ..." if need - have > 3 else "")
@@ -324,7 +301,6 @@ def write_quality_trace(path, model: QualityModel, n_frames: int) -> None:
     rows = [values.tolist()] * n_frames if values.ndim == 1 else values[:n_frames].tolist()
     if len(rows) < n_frames:
         raise ConfigError(f"quality trace covers {len(rows)} frames, need {n_frames}")
-    width = f"0{model.n_cameras}b"
-    write_csv_rows(path, ["frame"] + [format(mask, width) for mask in present],
+    write_csv_rows(path, ["frame"] + [bitstring(mask, model.n_cameras) for mask in present],
                    "%d" + ",%r" * present.size + "\r\n",
                    ((frame, *row) for frame, row in enumerate(rows)))

@@ -1,19 +1,24 @@
-"""Camera-subset masks in their two forms.
+"""Camera-subset masks.
 
-At the API a mask is a tuple of 0/1 bits, one per camera; inside the
-episode engine it is an integer with camera 0 in the most significant of
-``n_cameras`` bits, so ``format(value, f"0{n}b")`` is the mask's bitstring.
+A mask is an integer with camera 0 in the most significant of ``n_cameras``
+bits, so ``bitstring(mask, n_cameras)`` is how files and messages show it.
+Policies, the action space and the episode engine use that form. The
+single-frame reference ``environment.step`` and the ``FrameRecord`` views
+take a mask as a tuple of 0/1 bits, one per camera.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 Mask = tuple[int, ...]
 
+# Largest camera count a config may ask for. The engine keeps tables over
+# all 2**n_cameras masks; at 20 cameras one quality row is 8 MB of floats.
+MAX_CAMERAS = 20
 
-def popcount(mask: Mask) -> int:
-    return sum(mask)
+
+def bitstring(mask: int, n_cameras: int) -> str:
+    """The integer mask as n_cameras 0/1 characters, camera 0 first."""
+    return format(mask, f"0{n_cameras}b")
 
 
 def mask_to_str(mask: Mask) -> str:
@@ -34,9 +39,11 @@ def mask_to_int(mask: Mask) -> int:
 
 
 def mask_from_int(value: int, n_cameras: int) -> Mask:
+    if not 0 <= value < 1 << n_cameras:
+        raise ValueError(f"mask {value} does not fit in {n_cameras} cameras")
     return tuple((value >> (n_cameras - 1 - i)) & 1 for i in range(n_cameras))
 
 
-def subsets(n_cameras: int, k_min: int, k_max: int) -> list[Mask]:
-    """Every mask with k_min..k_max cameras, in bitstring order."""
-    return [mask for mask in product((0, 1), repeat=n_cameras) if k_min <= sum(mask) <= k_max]
+def subsets(n_cameras: int, k_min: int, k_max: int) -> list[int]:
+    """Every mask with k_min..k_max cameras, ascending, which is bitstring order."""
+    return [mask for mask in range(1 << n_cameras) if k_min <= mask.bit_count() <= k_max]

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .csvio import write_csv_rows
 from .errors import ConfigError, TraceFormatError, require_finite
-from .masks import Mask, mask_from_int, mask_to_str
+from .masks import Mask, bitstring, mask_from_int, mask_to_str
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,8 @@ class FrameLog(Sequence):
 
     def mask_strings(self) -> list[str]:
         """The selected mask of every frame as its bitstring."""
-        width = f"0{self.n_cameras}b"
-        names = {mask: format(mask, width) for mask in set(self.masks)}
+        n = self.n_cameras
+        names = {mask: bitstring(mask, n) for mask in set(self.masks)}
         return [names[mask] for mask in self.masks]
 
 
@@ -249,9 +249,9 @@ class RunStats:
         stats.tx_sum = reduce(operator.add, log.tx_s, 0.0)
         stats.recon_sum = reduce(operator.add, log.recon_s, 0.0)
         stats.total_sum = reduce(operator.add, log.total_s, 0.0)
-        width = f"0{log.n_cameras}b"
+        n = log.n_cameras
         stats.camera_subset_histogram = Counter(
-            {format(mask, width): count for mask, count in Counter(log.masks).items()})
+            {bitstring(mask, n): count for mask, count in Counter(log.masks).items()})
         stats.server_histogram = Counter(log.servers)
         stats.camera_reward_sum = reduce(operator.add, log.camera_reward, 0.0)
         stats.server_reward_sum = reduce(operator.add, log.server_reward, 0.0)

@@ -19,18 +19,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, require_count, require_finite
-from .masks import Mask, subsets
+from .masks import MAX_CAMERAS, subsets
 
 
 @dataclass(frozen=True)
 class ActionSpace:
-    """All camera subsets with k_min..k_max members, in fixed bitstring order."""
+    """All camera subsets with k_min..k_max members as integer masks, in ascending order."""
 
     n_cameras: int
     k_min: int
     k_max: int
-    actions: tuple[Mask, ...]
-    index: dict[Mask, int] = field(repr=False)
+    actions: tuple[int, ...]
+    index: dict[int, int] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -38,17 +38,17 @@ class ActionSpace:
 
 def enumerate_actions(n_cameras: int, k_min: int, k_max: int) -> ActionSpace:
     """Canonical, duplicate-free enumeration of the valid subsets."""
-    if not 1 <= k_min <= k_max <= n_cameras:
+    if not 1 <= k_min <= k_max <= n_cameras <= MAX_CAMERAS:
         raise ConfigError(
-            f"subset bounds must satisfy 1 <= k_min <= k_max <= n_cameras, "
+            f"subset bounds must satisfy 1 <= k_min <= k_max <= n_cameras <= {MAX_CAMERAS}, "
             f"got k_min={k_min}, k_max={k_max}, n_cameras={n_cameras}"
         )
-    actions = subsets(n_cameras, k_min, k_max)
+    actions = tuple(subsets(n_cameras, k_min, k_max))
     return ActionSpace(
         n_cameras=n_cameras,
         k_min=k_min,
         k_max=k_max,
-        actions=tuple(actions),
+        actions=actions,
         index={mask: i for i, mask in enumerate(actions)},
     )
 
@@ -301,10 +301,10 @@ class QLearningCameraPolicy(_QLearner):
         super().__init__(len(space), params)
         self.space = space
 
-    def select(self, rng) -> Mask:
+    def select(self, rng) -> int:
         return self.space.actions[self._choose(self.STATE, rng)]
 
-    def learn(self, mask: Mask, reward: float, quality: float | None = None) -> None:
+    def learn(self, mask: int, reward: float, quality: float | None = None) -> None:
         # Single abstract state: the bootstrap term is gamma * max over the same row.
         self._learn(self.STATE, self.space.index[mask], reward, self.STATE)
 
@@ -315,10 +315,10 @@ class RandomCameraPolicy:
     def __init__(self, space: ActionSpace):
         self.space = space
 
-    def select(self, rng) -> Mask:
+    def select(self, rng) -> int:
         return self.space.actions[int(rng.integers(len(self.space)))]
 
-    def learn(self, mask: Mask, reward: float, quality: float | None = None) -> None:
+    def learn(self, mask: int, reward: float, quality: float | None = None) -> None:
         pass
 
 
@@ -342,14 +342,14 @@ class GreedyTripletCameraPolicy:
         self.mean_quality = np.zeros(len(self.masks))
         self._cold = 0   # next unvisited arm during the cold-start sweep
 
-    def select(self, rng=None) -> Mask:
+    def select(self, rng=None) -> int:
         if self._cold < len(self.masks):
             mask = self.masks[self._cold]
             self._cold += 1
             return mask
         return self.masks[int(self.mean_quality.argmax())]
 
-    def learn(self, mask: Mask, reward: float = 0.0, quality: float | None = None) -> None:
+    def learn(self, mask: int, reward: float = 0.0, quality: float | None = None) -> None:
         if quality is None:
             return
         idx = self.index[mask]
@@ -369,11 +369,11 @@ class BanditCameraPolicy:
         self.counts = [0] * len(space)
         self.mean_reward = np.zeros(len(space))
 
-    def select(self, rng) -> Mask:
+    def select(self, rng) -> int:
         idx = epsilon_greedy(self.mean_reward, self.epsilon, rng)
         return self.space.actions[idx]
 
-    def learn(self, mask: Mask, reward: float, quality: float | None = None) -> None:
+    def learn(self, mask: int, reward: float, quality: float | None = None) -> None:
         idx = self.space.index[mask]
         self.counts[idx] += 1
         mean = self.mean_reward.item(idx)

@@ -1,0 +1,30 @@
+"""Plain reference implementations that the package's fast routes are tested against.
+
+These are the tuple-mask forms the package used before its masks became
+integers: an enumerator that filters every 0/1 tuple, and the synthetic
+quality table as a dict from tuple mask to base quality.
+"""
+
+import math
+from itertools import compress, product
+
+from edgerecon.environment import (DEFAULT_QUALITY_CEILING, DEFAULT_QUALITY_CURVE,
+                                   DEFAULT_QUALITY_MIDPOINT, MIN_VIEWS, _synthetic_weights)
+
+
+def tuple_subsets(n_cameras: int, k_min: int, k_max: int) -> list[tuple[int, ...]]:
+    """Every 0/1 tuple with k_min..k_max ones, in bitstring order."""
+    return [mask for mask in product((0, 1), repeat=n_cameras) if k_min <= sum(mask) <= k_max]
+
+
+def synthetic_quality_table(n_cameras: int, camera_weights=None,
+                            ceiling: float = DEFAULT_QUALITY_CEILING,
+                            curve: float = DEFAULT_QUALITY_CURVE,
+                            midpoint: float = DEFAULT_QUALITY_MIDPOINT) -> dict:
+    """The synthetic base-quality table, one entry per tuple mask of MIN_VIEWS or more cameras."""
+    camera_weights = _synthetic_weights(n_cameras, camera_weights, ceiling, curve)
+    table = {}
+    for mask in tuple_subsets(n_cameras, MIN_VIEWS, n_cameras):
+        s = sum(compress(camera_weights, mask))
+        table[mask] = ceiling / (1.0 + math.exp(-curve * (s - midpoint)))
+    return table

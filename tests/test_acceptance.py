@@ -13,6 +13,7 @@ from edgerecon.config import ExperimentConfig, camera_study_config, server_study
 from edgerecon.controller import build_quality_model, build_traces, run_episode
 from edgerecon.disruption import DisruptionParams, generate_camera_trace, generate_server_trace
 from edgerecon.environment import LatencyModel, step
+from edgerecon.masks import mask_from_int
 from edgerecon.metrics import (RewardWeights, Thresholds, camera_reward, latency_score,
                                quality_score, reliability, server_reward, write_frame_log)
 from edgerecon.policies import (AgentParams, QTable, adapt_params, enumerate_actions, q_update)
@@ -306,7 +307,7 @@ def test_criterion_9_small_scale_oracle():
         oracle = []
         for frame in range(config.n_frames):
             best = 0
-            for mask in space.actions:
+            for mask in (mask_from_int(action, 3) for action in space.actions):
                 for server in range(2):
                     out = step(frame, mask, server, camera_trace, server_trace,
                                quality_model, latency_model, config.thresholds)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -75,6 +76,18 @@ class TestRun:
         config = write_config(tmp_path, text)
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path)) == EXIT_CONFIG_ERROR
         assert field in capsys.readouterr().err
+
+    def test_too_many_cameras_exits_config_error_at_once(self, tmp_path, capsys):
+        # 30 cameras would mean tables over 2**30 masks; the cap stops the
+        # run before anything is enumerated.
+        weights = ", ".join(["0.5"] * 30)
+        config = write_config(tmp_path, f"n_cameras: 30\nk_max: 3\nquality:\n"
+                                        f"  camera_weights: [{weights}]\n")
+        start = time.perf_counter()
+        code = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG_ERROR
+        assert "n_cameras" in capsys.readouterr().err
 
     def test_unparseable_yaml(self, tmp_path, capsys):
         config = write_config(tmp_path, "n_frames: [unclosed\n")

@@ -7,6 +7,7 @@ from edgerecon.config import ExperimentConfig, config_from_dict
 from edgerecon.controller import build_traces, run_episode, run_grid
 from edgerecon.disruption import DisruptionParams
 from edgerecon.errors import ConfigError
+from edgerecon.masks import MAX_CAMERAS
 from edgerecon.metrics import write_frame_log
 from edgerecon.policies import (GreedyTripletCameraPolicy, QLearningServerPolicy,
                                 RoundRobinServerPolicy)
@@ -278,6 +279,7 @@ class TestConfigDict:
         {"camera_agent": {"alpha": "high"}},
         {"quality": {"table": {"11000": 300.0}}},   # partial quality table
         {"quality": {"table": {"1x000": 300.0}}},   # not a bitstring
+        {"n_cameras": MAX_CAMERAS + 1},
     ])
     def test_invalid_values_rejected(self, raw):
         with pytest.raises(ConfigError):

@@ -24,16 +24,21 @@ from edgerecon.controller import (_CAMERA_POLICY_STREAM, _ENV_STREAM, _SERVER_PO
                                   INITIAL_SERVER, build_camera_policy, build_quality_model,
                                   build_server_policy, build_traces, run_episode)
 from edgerecon.disruption import DisruptionParams
-from edgerecon.environment import (LatencyModel, all_masks_with_min_views, mask_to_str, popcount,
-                                   step, synthetic_quality_table)
+from edgerecon.environment import MIN_VIEWS, LatencyModel, step
 from edgerecon.errors import ConfigError
+from edgerecon.masks import bitstring, mask_from_int, mask_to_str, subsets
 from edgerecon.metrics import (FrameRecord, RunStats, Thresholds, camera_reward, server_reward,
                                write_frame_log)
 from edgerecon.policies import QTable, RoundRobinServerPolicy, ServerState, enumerate_actions
+from references import synthetic_quality_table
 
 
 def reference_episode(config, camera_policy, server_policy):
-    """One episode, frame by frame through the single-frame reference functions."""
+    """One episode, frame by frame through the single-frame reference functions.
+
+    Each integer mask a policy picks is converted to the tuple form ``step``
+    takes; a mask that does not fit the camera count fails there.
+    """
     config.validate()
     camera_trace, server_trace = build_traces(config)
     quality_model = build_quality_model(config)
@@ -46,8 +51,9 @@ def reference_episode(config, camera_policy, server_policy):
     stats = RunStats()
     prev_server = INITIAL_SERVER
     for frame in range(config.n_frames):
-        mask = camera_policy.select(rng_cam)
-        state = ServerState(popcount(mask), prev_server)
+        sel = camera_policy.select(rng_cam)
+        mask = mask_from_int(sel, config.n_cameras)
+        state = ServerState(sum(mask), prev_server)
         if pending and pending[-1][7] is None:
             pending[-1][7] = state
         server = server_policy.select(frame, state, rng_srv)
@@ -65,12 +71,12 @@ def reference_episode(config, camera_policy, server_policy):
         )
         records.append(record)
         stats.add(record)
-        pending.append([frame, mask, state, server, r_cam, r_srv, outcome, None])
+        pending.append([frame, sel, state, server, r_cam, r_srv, outcome, None])
         while pending and pending[0][0] + delay <= frame:
-            t, fb_mask, fb_state, fb_server, fb_cam, fb_srv, fb_out, nxt = pending.popleft()
+            t, fb_sel, fb_state, fb_server, fb_cam, fb_srv, fb_out, nxt = pending.popleft()
             if nxt is None:
-                nxt = ServerState(popcount(fb_mask), fb_server)
-            camera_policy.learn(fb_mask, fb_cam, quality=fb_out.quality)
+                nxt = ServerState(fb_sel.bit_count(), fb_server)
+            camera_policy.learn(fb_sel, fb_cam, quality=fb_out.quality)
             server_policy.learn(fb_state, fb_server, fb_srv, nxt, fb_out.total_latency_s)
         prev_server = server
     return stats, records
@@ -101,10 +107,10 @@ def record_key(record) -> str:
 
 def write_quality_trace_csv(path: Path, n_cameras: int, n_frames: int, seed: int) -> None:
     rng = np.random.default_rng(seed)
-    masks = all_masks_with_min_views(n_cameras)
+    masks = subsets(n_cameras, MIN_VIEWS, n_cameras)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["frame"] + [mask_to_str(m) for m in masks])
+        writer.writerow(["frame"] + [bitstring(m, n_cameras) for m in masks])
         for frame in range(n_frames):
             writer.writerow([frame] + [repr(float(v)) for v in rng.uniform(0, 700, len(masks))])
 
@@ -129,7 +135,7 @@ def small_configs(draw):
     if table is not None:
         table = {mask_to_str(mask): value
                  for mask, value in synthetic_quality_table(n, weights).items()
-                 if popcount(mask) <= table}
+                 if sum(mask) <= table}
     config = ExperimentConfig(
         n_frames=n_frames, n_cameras=n, n_servers=n_servers, k_min=k_min, k_max=k_max,
         seed=seed,
@@ -198,7 +204,7 @@ class _BadMaskCamera:
         self.bad_mask = bad_mask
 
     def select(self, rng):
-        return self.bad_mask if rng.random() < 0.2 else (1, 1, 0, 0, 0)
+        return self.bad_mask if rng.random() < 0.2 else 0b11000
 
     def learn(self, mask, reward, quality=None):
         pass
@@ -213,11 +219,12 @@ def _error_type(fn):
 
 
 @pytest.mark.parametrize("make_policies, quality_table, expected", [
-    (lambda: ((1, 1, 0, 0, 0), _OutOfRangeServer(4)), None, IndexError),
-    (lambda: ((1, 1, 1, 0, 0), RoundRobinServerPolicy(4)), None, ValueError),   # above k_max
-    (lambda: ((1, 1, 0, 0), RoundRobinServerPolicy(4)), None, ValueError),      # wrong width
-    (lambda: ((1, 1, 0, 0, 0), RoundRobinServerPolicy(4)),
-     {"00011": 300.0}, ConfigError),                                             # partial table
+    (lambda: (0b11000, _OutOfRangeServer(4)), None, IndexError),
+    (lambda: (0b11100, RoundRobinServerPolicy(4)), None, ValueError),   # above k_max
+    (lambda: (1 << 5, RoundRobinServerPolicy(4)), None, ValueError),    # one bit too wide
+    (lambda: (0b11000, RoundRobinServerPolicy(4)),
+     {"00011": 300.0}, ConfigError),                                     # partial table
+    (lambda: (-1, RoundRobinServerPolicy(4)), None, ValueError),        # negative
 ])
 def test_misbehaviour_raises_same_error_type(make_policies, quality_table, expected):
     def run(engine):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from edgerecon.disruption import CameraTrace, DisruptionParams, ServerLatencyTrace, generate_camera_trace
-from edgerecon.environment import (MIN_VIEWS, LatencyModel, QualityModel, all_masks_with_min_views,
-                                   apply_availability, load_quality_trace, mask_from_str,
-                                   mask_to_str, popcount, step, synthetic_quality_table,
-                                   write_quality_trace)
+from edgerecon.environment import (MIN_VIEWS, LatencyModel, QualityModel, load_quality_trace,
+                                   step, write_quality_trace)
 from edgerecon.errors import ConfigError, TraceFormatError, TraceSchemaError
-from edgerecon.masks import mask_to_int
+from edgerecon.masks import (bitstring, mask_from_int, mask_from_str, mask_to_int, mask_to_str,
+                             subsets)
 from edgerecon.metrics import Thresholds
+from references import synthetic_quality_table, tuple_subsets
 
 THR = Thresholds(theta=400.0, phi_total_s=3.0, phi_recon_s=1.0)
 
@@ -39,22 +39,38 @@ class TestMaskHelpers:
             mask_from_str("01201")
 
     def test_apply_availability(self):
-        assert apply_availability((1, 1, 0), (1, 0, 1)) == (1, 0, 0)
-
-    def test_popcount(self):
-        assert popcount((1, 0, 1, 1)) == 3
+        # step drops the cameras that the frame's availability row marks as down.
+        camera, server = clean_traces()
+        camera.availability[0] = (1, 0, 1)
+        model = QualityModel.synthetic(3, table=table3())
+        out = step(0, (1, 1, 0), 0, camera, server, model, LatencyModel(), THR)
+        assert out.effective_mask == (1, 0, 0)
 
     def test_enumeration_size(self):
         # For 5 cameras: C(5,2)+C(5,3)+C(5,4)+C(5,5) = 26 subsets of >= 2 views.
-        assert len(all_masks_with_min_views(5)) == 26
+        assert len(subsets(5, MIN_VIEWS, 5)) == 26
+
+    def test_integer_round_trip(self):
+        for n in range(1, 7):
+            for value in range(1 << n):
+                mask = mask_from_int(value, n)
+                assert len(mask) == n
+                assert mask_to_int(mask) == value
+                assert mask_to_str(mask) == bitstring(value, n)
+        assert bitstring(0b01011, 5) == "01011"
+
+    @pytest.mark.parametrize("value", [0b100011, 1 << 5, -1, -(1 << 5)])
+    def test_mask_from_int_rejects_out_of_range(self, value):
+        with pytest.raises(ValueError, match=str(value)):
+            mask_from_int(value, 5)
 
 
 class TestSyntheticTable:
     def test_default_shape_matches_design_targets(self):
         table = synthetic_quality_table(5)
         full = table[(1, 1, 1, 1, 1)]
-        pairs = [v for m, v in table.items() if popcount(m) == 2]
-        triples = [v for m, v in table.items() if popcount(m) == 3]
+        pairs = [v for m, v in table.items() if sum(m) == 2]
+        triples = [v for m, v in table.items() if sum(m) == 3]
         assert full == pytest.approx(658, abs=2)
         assert 255 <= min(pairs) and max(pairs) <= 300
         assert 540 <= min(triples) and max(triples) <= 580
@@ -145,7 +161,7 @@ class TestStep:
         model = QualityModel.synthetic(3, table=table3())
         out = step(0, (1, 1, 0), 0, camera, server, model, LatencyModel(), THR,
                    k_min=2, k_max=3)
-        assert popcount(out.effective_mask) < MIN_VIEWS
+        assert sum(out.effective_mask) < MIN_VIEWS
         assert out.quality == 0.0
 
     def test_noise_free_is_pure(self):
@@ -172,7 +188,7 @@ class TestStep:
     def test_quality_monotone_noise_free(self):
         camera, server = clean_traces(n_cameras=5)
         model = QualityModel.synthetic(5)
-        masks = all_masks_with_min_views(5)
+        masks = tuple_subsets(5, MIN_VIEWS, 5)
         results = {}
         for mask in masks:
             results[mask] = step(0, mask, 0, camera, server, model, LatencyModel(), THR).quality
@@ -243,7 +259,7 @@ class TestQualityTraceIO:
         write_quality_trace(path, model, n_frames=4)
         loaded = load_quality_trace(path, n_cameras=5)
         assert loaded.noise_sd == 0.0
-        for mask in all_masks_with_min_views(5):
+        for mask in tuple_subsets(5, MIN_VIEWS, 5):
             assert loaded.base_quality(2, mask) == model.base_quality(0, mask)
 
     def test_missing_column_listed(self, tmp_path):

@@ -7,11 +7,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from edgerecon.errors import ConfigError
+from edgerecon.masks import MAX_CAMERAS, bitstring, mask_to_int
 from edgerecon.policies import (ActionSpace, AgentParams, BanditCameraPolicy,
                                 GreedyTripletCameraPolicy, LatencyGreedyServerPolicy, QTable,
                                 QLearningCameraPolicy, QLearningServerPolicy, RandomCameraPolicy,
                                 RoundRobinServerPolicy, ServerState, adapt_params,
                                 detect_degradation, enumerate_actions, epsilon_greedy, q_update)
+from references import tuple_subsets
 
 # chi-square critical values at the 99.9th percentile
 CHI2_DF9_999 = 27.88
@@ -25,17 +27,26 @@ class TestActionSpace:
 
     def test_single_action(self):
         space = enumerate_actions(5, 5, 5)
-        assert space.actions == ((1, 1, 1, 1, 1),)
+        assert space.actions == (0b11111,)
 
     def test_singletons(self):
         space = enumerate_actions(3, 1, 1)
-        assert space.actions == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+        assert space.actions == (0b001, 0b010, 0b100)
 
     def test_canonical_bitstring_order(self):
         space = enumerate_actions(4, 2, 3)
-        strings = ["".join(map(str, m)) for m in space.actions]
+        assert list(space.actions) == sorted(set(space.actions))
+        strings = [bitstring(m, 4) for m in space.actions]
         assert strings == sorted(strings)
-        assert len(set(strings)) == len(strings)
+        assert all(2 <= s.count("1") <= 3 for s in strings)
+
+    @given(st.data())
+    def test_matches_tuple_enumeration(self, data):
+        n = data.draw(st.integers(1, 12))
+        k_min = data.draw(st.integers(1, n))
+        k_max = data.draw(st.integers(k_min, n))
+        expected = tuple(mask_to_int(m) for m in tuple_subsets(n, k_min, k_max))
+        assert enumerate_actions(n, k_min, k_max).actions == expected
 
     def test_index_inverts_actions(self):
         space = enumerate_actions(5, 2, 5)
@@ -46,6 +57,11 @@ class TestActionSpace:
     def test_bad_bounds(self, bounds):
         with pytest.raises(ConfigError):
             enumerate_actions(5, *bounds)
+
+    def test_camera_cap(self):
+        assert len(enumerate_actions(MAX_CAMERAS, MAX_CAMERAS, MAX_CAMERAS)) == 1
+        with pytest.raises(ConfigError, match=str(MAX_CAMERAS)):
+            enumerate_actions(MAX_CAMERAS + 10, 1, 3)
 
 
 class TestEpsilonGreedy:
@@ -310,8 +326,8 @@ class TestCameraQLearning:
             hits = 0
             for _ in range(2000):
                 mask = agent.select(rng)
-                agent.learn(mask, 0.9 if mask == (1, 0) else 0.1)
-                hits += mask == (1, 0)
+                agent.learn(mask, 0.9 if mask == 0b10 else 0.1)
+                hits += mask == 0b10
             assert hits / 2000 > 0.70
 
     def test_zero_initialized_before_any_learn(self):
@@ -375,7 +391,7 @@ class TestRandomPolicy:
     def test_single_action_space(self):
         space = enumerate_actions(5, 5, 5)
         policy = RandomCameraPolicy(space)
-        assert policy.select(np.random.default_rng(0)) == (1, 1, 1, 1, 1)
+        assert policy.select(np.random.default_rng(0)) == 0b11111
 
     def test_uniform_over_space(self):
         space = enumerate_actions(5, 2, 5)
@@ -393,7 +409,7 @@ class TestRandomPolicy:
         policy = RandomCameraPolicy(space)
         rng = np.random.default_rng(2)
         for _ in range(500):
-            assert 2 <= sum(policy.select(rng)) <= 4
+            assert 2 <= policy.select(rng).bit_count() <= 4
 
 
 class TestGreedyTriplet:
@@ -401,12 +417,12 @@ class TestGreedyTriplet:
         policy = GreedyTripletCameraPolicy(5)
         seen = [policy.select() for _ in range(10)]
         assert len(set(seen)) == 10   # C(5,3) distinct masks in the first 10 frames
-        assert all(sum(m) == 3 for m in seen)
+        assert all(m.bit_count() == 3 for m in seen)
 
     def test_single_triple_space(self):
         policy = GreedyTripletCameraPolicy(3)
         for _ in range(5):
-            assert policy.select() == (1, 1, 1)
+            assert policy.select() == 0b111
 
     def test_argmax_of_injected_means(self):
         policy = GreedyTripletCameraPolicy(5)
