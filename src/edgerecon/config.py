@@ -15,7 +15,7 @@ import yaml
 from .disruption import DisruptionParams
 from .environment import MIN_VIEWS, LatencyModel
 from .errors import ConfigError, require_count, require_finite
-from .masks import MAX_CAMERAS, bitstring, subsets
+from .masks import bitstring, require_camera_cap, subsets
 from .metrics import RewardWeights, Thresholds
 from .policies import AgentParams
 
@@ -94,8 +94,7 @@ class ExperimentConfig:
         for name in ("n_frames", "n_cameras", "n_servers"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.n_cameras > MAX_CAMERAS:
-            raise ConfigError(f"n_cameras must be <= {MAX_CAMERAS}, got {self.n_cameras}")
+        require_camera_cap(self.n_cameras)
         if not 1 <= self.k_min <= self.k_max <= self.n_cameras:
             raise ConfigError(
                 f"need 1 <= k_min <= k_max <= n_cameras, got "

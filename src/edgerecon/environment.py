@@ -17,7 +17,7 @@ import numpy as np
 
 from .csvio import read_csv_rows, write_csv_rows
 from .errors import ConfigError, TraceFormatError, TraceSchemaError, require_finite
-from .masks import Mask, bitstring, mask_from_str, mask_to_int, mask_to_str
+from .masks import Mask, bitstring, mask_from_str, mask_to_int, mask_to_str, require_camera_cap
 from .metrics import FrameOutcome, Thresholds, reliability
 
 # Two overlapping views are the hard floor for triangulating any geometry.
@@ -111,7 +111,11 @@ class QualityModel:
             raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
         self.table = table = np.asarray(table, dtype=float)
         self.noise_sd = noise_sd
-        self.n_cameras = table.shape[-1].bit_length() - 1
+        width = table.shape[-1]
+        self.n_cameras = width.bit_length() - 1
+        require_camera_cap(self.n_cameras)
+        if width < 2 or width & (width - 1):
+            raise ConfigError(f"quality table width {width} is not 2**n_cameras, n_cameras >= 1")
         if table.ndim == 1:
             _check_monotone(table, self.n_cameras)
 
@@ -120,6 +124,7 @@ class QualityModel:
                   camera_weights=None, ceiling: float = DEFAULT_QUALITY_CEILING,
                   curve: float = DEFAULT_QUALITY_CURVE,
                   midpoint: float = DEFAULT_QUALITY_MIDPOINT) -> "QualityModel":
+        require_camera_cap(n_cameras)
         if table is None:
             return cls(_synthetic_dense(n_cameras, camera_weights, ceiling, curve, midpoint),
                        noise_sd)

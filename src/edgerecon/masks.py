@@ -9,11 +9,19 @@ take a mask as a tuple of 0/1 bits, one per camera.
 
 from __future__ import annotations
 
+from .errors import ConfigError
+
 Mask = tuple[int, ...]
 
 # Largest camera count a config may ask for. The engine keeps tables over
 # all 2**n_cameras masks; at 20 cameras one quality row is 8 MB of floats.
 MAX_CAMERAS = 20
+
+
+def require_camera_cap(n_cameras: int) -> None:
+    """Reject a camera count above MAX_CAMERAS before anything sized 2**n_cameras is built."""
+    if n_cameras > MAX_CAMERAS:
+        raise ConfigError(f"n_cameras must be <= {MAX_CAMERAS}, got {n_cameras}")
 
 
 def bitstring(mask: int, n_cameras: int) -> str:

@@ -148,10 +148,8 @@ def q_update(table: QTable, state: str, action: int, reward: float, next_state: 
     """One temporal-difference step; returns the new value of (state, action).
 
     The bootstrap reads the next state's greedy value (0.0 for a state never
-    materialized, which stays so). The write then moves the greedy action:
-    to ``action`` if its value overtakes the maximum, or ties it at a lower
-    index; by a rescan only if the greedy action itself drops. With finite
-    values this is exactly ``argmax``, -0.0 and 0.0 comparing equal.
+    materialized, which stays so). The write then moves the greedy action by
+    ``_first_max_after_write``.
     """
     if not math.isfinite(reward):
         raise ValueError(f"reward must be finite, got {reward}")
@@ -170,12 +168,24 @@ def q_update(table: QTable, state: str, action: int, reward: float, next_state: 
     value = values.item(action)
     value += alpha * (target - value)
     values[action] = value
-    if action == best:
-        if value < top:
-            greedy[state] = int(values.argmax())
-    elif value > top or (value == top and action < best):
-        greedy[state] = action
+    if (action == best) == (value < top):   # else the write cannot move the maximum
+        greedy[state] = _first_max_after_write(values, best, top, action, value)
     return value
+
+
+def _first_max_after_write(values: np.ndarray, best: int, top: float, index: int,
+                          value: float) -> int:
+    """``int(values.argmax())`` after ``values[index]`` was set to ``value``.
+
+    ``best`` was the first index of the maximum before that write and ``top``
+    its value. The maximum moves to ``index`` if ``value`` overtakes ``top``
+    or ties it at a lower index; only a drop of ``best``'s own value needs a
+    rescan. With finite values this is exactly ``argmax``, -0.0 and 0.0
+    comparing equal.
+    """
+    if index == best:
+        return int(values.argmax()) if value < top else best
+    return index if value > top or (value == top and index < best) else best
 
 
 @dataclass(frozen=True)
@@ -257,21 +267,107 @@ def adapt_params(alpha: float, epsilon: float, params: AgentParams, degraded: bo
     return alpha, epsilon
 
 
+class DegradationDetector:
+    """``detect_degradation`` over a sliding reward history, in O(1) per reward.
+
+    ``push(r)`` appends ``r`` to ``history`` (the last 2 * window rewards)
+    and returns ``detect_degradation(history, window, drop)``, bit for bit.
+    It keeps running sums P and R of the previous and recent windows,
+    recomputed with ``sum`` whenever the history fills and every ``window``
+    slides after that, and decides from them when the gap
+    g = fl(fl(R - P) + fl(window * drop)) lies farther from 0 than a bound T.
+    Otherwise, or when g is not finite, it calls ``detect_degradation``.
+
+    The bound. Let u = 2**-53, w the window, d the drop, M the largest |r|
+    pushed so far and X = B - A + w*d, with A and B the exact sums of the
+    previous and recent windows. Each rounding errs by at most u relative,
+    plus 2**-1075 absolute where a product or quotient underflows (a sum or
+    difference is exact there):
+
+    - ``sum`` of w values errs by <= (w-1)u * wM left to right (Python
+      <= 3.11) and by <= 2u * wM + O(w u**2 M) compensated (3.12+); both
+      are <= 3w**2 uM.
+    - The reference decides fl(B'/w) < fl(fl(A'/w) - d), A' and B' its
+      sums. Times w, the left side minus the right is Y, and
+      |Y - X| <= 6w**2 uM + uw(3M + d) + 2w * 2**-1075.
+    - P and R start from ``sum`` and take at most w - 1 slides of two
+      additions of magnitude <= (w+1)M, so each is within 5w**2 uM of its
+      window's exact sum; forming g adds uw(4M + 2d) + 2**-1075. So
+      |g - X| <= 10w**2 uM + uw(4M + 2d) + 2**-1075.
+
+    Hence |g - Y| <= E = u(16w**2 M + 7wM + 3wd) + (2w+1) * 2**-1075, and
+    T = w(2**-48((w+1)M + d) + 2**-1072) >= 2E. If g > T then Y > 0 and
+    the reference says False; if g < -T then Y < 0 and it says True. The
+    factor 2 covers the second-order terms and the rounding of T itself.
+    An overflow leaves g or T infinite or NaN, and so does a non-finite
+    reward; both take the exact path. No reward range is assumed.
+    """
+
+    def __init__(self, window: int, drop: float):
+        self.window = window
+        self.drop = drop
+        self.history: deque[float] = deque(maxlen=2 * window)
+        self._slack = window * drop
+        self._largest = 0.0            # M: the largest |reward| pushed
+        self._bound = self._bound_for(0.0)
+        self._previous = self._recent = 0.0
+        self._countdown = 0            # slides left until the next resync; 0 until full
+
+    def _bound_for(self, largest: float) -> float:
+        w = self.window
+        return w * (2.0 ** -48 * ((w + 1) * largest + self.drop) + 2.0 ** -1072)
+
+    def push(self, reward: float) -> bool:
+        """Append ``reward``; True when the recent window's mean fell by more than drop."""
+        history = self.history
+        magnitude = abs(reward)
+        if magnitude > self._largest:
+            self._largest = magnitude
+            self._bound = self._bound_for(magnitude)
+        window = self.window
+        countdown = self._countdown
+        if countdown > 1:
+            middle = history[window]   # leaves the recent window for the previous one
+            oldest = history[0]        # leaves the history
+            history.append(reward)
+            self._countdown = countdown - 1
+            previous = self._previous = self._previous + middle - oldest
+            recent = self._recent = self._recent + reward - middle
+        else:
+            history.append(reward)
+            if not countdown and len(history) < 2 * window:
+                return False
+            previous = self._previous = sum(islice(history, window))
+            recent = self._recent = sum(islice(history, window, None))
+            self._countdown = window
+        gap = recent - previous + self._slack
+        if self._bound < abs(gap) < math.inf:
+            return gap < 0
+        return detect_degradation(history, window, self.drop)
+
+
 class _QLearner:
-    """The Q agents' shared part: table, epsilon-greedy choice, adaptive alpha/epsilon."""
+    """The Q agents' shared part: table, epsilon-greedy choice, adaptive alpha/epsilon.
+
+    An adaptive agent decides degradation with a ``DegradationDetector``
+    that owns ``reward_history``; a fixed agent only appends to it.
+    """
 
     def __init__(self, n_actions: int, params: AgentParams):
         params.validate()
         self.params = params
         self.alpha = params.alpha
         self.epsilon = params.epsilon
-        self.reward_history: deque[float] = deque(maxlen=2 * params.degradation_window)
         self.table = QTable(n_actions)
         self._selections = 0
         self._gamma = params.gamma
-        self._adaptive = params.adaptive
-        self._window = params.degradation_window
-        self._drop = params.degradation_drop
+        self._detector = None
+        if params.adaptive:
+            self._detector = DegradationDetector(params.degradation_window,
+                                                 params.degradation_drop)
+            self.reward_history = self._detector.history
+        else:
+            self.reward_history: deque[float] = deque(maxlen=2 * params.degradation_window)
 
     def _choose(self, state: str, rng) -> int:
         """Random action with probability epsilon, else the greedy one (as epsilon_greedy)."""
@@ -285,11 +381,12 @@ class _QLearner:
         if self._selections == 0:
             raise RuntimeError("learn() called before any select()")
         q_update(self.table, state, action, reward, next_state, self.alpha, self._gamma)
-        history = self.reward_history
-        history.append(reward)
-        if self._adaptive:
-            degraded = detect_degradation(history, self._window, self._drop)
-            self.alpha, self.epsilon = adapt_params(self.alpha, self.epsilon, self.params, degraded)
+        detector = self._detector
+        if detector is None:
+            self.reward_history.append(reward)
+        else:
+            self.alpha, self.epsilon = adapt_params(self.alpha, self.epsilon, self.params,
+                                                    detector.push(reward))
 
 
 class QLearningCameraPolicy(_QLearner):
@@ -327,7 +424,9 @@ class GreedyTripletCameraPolicy:
 
     Cold start cycles each 3-camera subset once (in canonical order) so every
     arm has an estimate before the argmax takes over. Latency never enters
-    the decision.
+    the decision. ``learn`` keeps the first arm of maximal mean current, as
+    ``QTable`` keeps its greedy action, so ``select`` needs no scan;
+    ``mean_quality`` is a read-only view of the means.
     """
 
     ARITY = 3
@@ -339,7 +438,10 @@ class GreedyTripletCameraPolicy:
         self.masks = space.actions
         self.index = space.index
         self.counts = [0] * len(self.masks)
-        self.mean_quality = np.zeros(len(self.masks))
+        self._means = np.zeros(len(self.masks))
+        self.mean_quality = self._means.view()
+        self.mean_quality.flags.writeable = False
+        self._best = 0   # first arm of maximal mean
         self._cold = 0   # next unvisited arm during the cold-start sweep
 
     def select(self, rng=None) -> int:
@@ -347,15 +449,23 @@ class GreedyTripletCameraPolicy:
             mask = self.masks[self._cold]
             self._cold += 1
             return mask
-        return self.masks[int(self.mean_quality.argmax())]
+        return self.masks[self._best]
 
     def learn(self, mask: int, reward: float = 0.0, quality: float | None = None) -> None:
         if quality is None:
             return
         idx = self.index[mask]
-        self.counts[idx] += 1
-        mean = self.mean_quality.item(idx)
-        self.mean_quality[idx] = mean + (quality - mean) / self.counts[idx]
+        count = self.counts[idx] + 1
+        means = self._means
+        mean = means.item(idx)
+        value = mean + (quality - mean) / count
+        if not math.isfinite(value):
+            raise ValueError(f"quality must be finite and keep the mean finite, got {quality}")
+        self.counts[idx] = count
+        best = self._best
+        top = means.item(best)
+        means[idx] = value
+        self._best = _first_max_after_write(means, best, top, idx, value)
 
 
 class BanditCameraPolicy:

@@ -10,7 +10,8 @@ from edgerecon.errors import ConfigError
 from edgerecon.masks import MAX_CAMERAS
 from edgerecon.metrics import write_frame_log
 from edgerecon.policies import (GreedyTripletCameraPolicy, QLearningServerPolicy,
-                                RoundRobinServerPolicy)
+                                RoundRobinServerPolicy, adapt_params, detect_degradation)
+from test_golden import _delayed_case, _server_case
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -177,6 +178,55 @@ class TestLearnerIntegration:
             n_selected, prev = key.split("|")
             assert 2 <= int(n_selected) <= 5
             assert 0 <= int(prev) < 4
+
+
+# The golden adaptive configs: the camera agent under a 3-frame feedback
+# delay, and the server agent under the server study's spikes.
+ADAPTIVE_CASES = pytest.mark.parametrize("config, side", [
+    (_delayed_case(), "camera"), (_server_case("adaptive_q"), "server"),
+], ids=["delay3-camera", "server-adaptive_q"])
+
+
+class TestAdaptiveBookkeeping:
+    @ADAPTIVE_CASES
+    def test_logged_epsilon_alpha_match_reference_loop(self, config, side):
+        # The frame-t columns hold the values after the learn calls of frames
+        # 0..t-1-delay, each from detect_degradation + adapt_params over the
+        # rewards learned so far.
+        _, log = run_episode(config)
+        params = getattr(config, f"resolved_{side}_agent")()
+        assert params.adaptive
+        rewards = getattr(log, f"{side}_reward")
+        delay = config.feedback_delay_frames
+        alpha, epsilon = params.alpha, params.epsilon
+        history, fired = [], 0
+        for frame in range(config.n_frames):
+            learned = frame - 1 - delay
+            if learned >= 0:
+                history.append(rewards[learned])
+                degraded = detect_degradation(history, params.degradation_window,
+                                              params.degradation_drop)
+                fired += degraded
+                alpha, epsilon = adapt_params(alpha, epsilon, params, degraded)
+            assert getattr(log, f"{side}_epsilon")[frame] == epsilon, frame
+            assert getattr(log, f"{side}_alpha")[frame] == alpha, frame
+        assert fired   # the detector fired at least once on these configs
+
+    @ADAPTIVE_CASES
+    def test_exact_fallback_is_rare(self, config, side, monkeypatch):
+        calls = []
+
+        def counting(rewards, window, drop):
+            calls.append(len(rewards) == 2 * window)
+            return detect_degradation(rewards, window, drop)
+
+        monkeypatch.setattr("edgerecon.policies.detect_degradation", counting)
+        run_episode(config)
+        window = getattr(config, f"resolved_{side}_agent")().degradation_window
+        learns = config.n_frames - config.feedback_delay_frames
+        post_warm_up = learns - (2 * window - 1)
+        assert all(calls)   # never called before the history fills
+        assert len(calls) < 0.01 * post_warm_up, (len(calls), post_warm_up)
 
 
 class TestQualityTraceMode:

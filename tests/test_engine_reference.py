@@ -29,7 +29,8 @@ from edgerecon.errors import ConfigError
 from edgerecon.masks import bitstring, mask_from_int, mask_to_str, subsets
 from edgerecon.metrics import (FrameRecord, RunStats, Thresholds, camera_reward, server_reward,
                                write_frame_log)
-from edgerecon.policies import QTable, RoundRobinServerPolicy, ServerState, enumerate_actions
+from edgerecon.policies import (DegradationDetector, QTable, RoundRobinServerPolicy, ServerState,
+                                enumerate_actions)
 from references import synthetic_quality_table
 
 
@@ -92,6 +93,8 @@ def policy_state(policy) -> dict:
     for key, value in vars(policy).items():
         if isinstance(value, QTable):
             value = value.to_dict()
+        elif isinstance(value, DegradationDetector):
+            value = policy_state(value)
         elif isinstance(value, np.ndarray):
             value = value.tolist()
         elif isinstance(value, deque):

@@ -7,8 +7,8 @@ from edgerecon.disruption import CameraTrace, DisruptionParams, ServerLatencyTra
 from edgerecon.environment import (MIN_VIEWS, LatencyModel, QualityModel, load_quality_trace,
                                    step, write_quality_trace)
 from edgerecon.errors import ConfigError, TraceFormatError, TraceSchemaError
-from edgerecon.masks import (bitstring, mask_from_int, mask_from_str, mask_to_int, mask_to_str,
-                             subsets)
+from edgerecon.masks import (MAX_CAMERAS, bitstring, mask_from_int, mask_from_str, mask_to_int,
+                             mask_to_str, subsets)
 from edgerecon.metrics import Thresholds
 from references import synthetic_quality_table, tuple_subsets
 
@@ -114,6 +114,23 @@ class TestSyntheticTable:
         for build in (synthetic_quality_table, QualityModel.synthetic):
             with pytest.raises(ConfigError):
                 build(**kwargs)
+
+    def test_camera_cap_fails_before_allocating(self):
+        # At 21 cameras a table would take ~2 s and ~200 MB to build.
+        n = MAX_CAMERAS + 1
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="n_cameras"):
+            QualityModel.synthetic(n, camera_weights=[0.5] * n)
+        with pytest.raises(ConfigError, match="n_cameras"):
+            QualityModel.synthetic(n, table={(1,) * n: 600.0})
+        with pytest.raises(ConfigError, match="n_cameras"):
+            QualityModel(np.zeros(1 << n))
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 6), (0,)])
+    def test_table_width_must_be_a_power_of_two(self, shape):
+        with pytest.raises(ConfigError, match="width"):
+            QualityModel(np.full(shape, 100.0))
 
     def test_weights_length_checked(self):
         with pytest.raises(ConfigError):

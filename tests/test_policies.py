@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgerecon.errors import ConfigError
 from edgerecon.masks import MAX_CAMERAS, bitstring, mask_to_int
-from edgerecon.policies import (ActionSpace, AgentParams, BanditCameraPolicy,
+from edgerecon.policies import (ActionSpace, AgentParams, BanditCameraPolicy, DegradationDetector,
                                 GreedyTripletCameraPolicy, LatencyGreedyServerPolicy, QTable,
                                 QLearningCameraPolicy, QLearningServerPolicy, RandomCameraPolicy,
                                 RoundRobinServerPolicy, ServerState, adapt_params,
@@ -239,6 +239,51 @@ class TestAgentParams:
             AgentParams(**kwargs).validate()
 
 
+# Multiples of 1/64 up to 1: window sums of these, and of them shifted by a
+# drop in eighths, are exact in floating point.
+DYADIC = st.integers(0, 64).map(lambda k: k / 64)
+REWARDS = {
+    "unit": st.floats(0, 1),
+    "repeated": st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0]),
+    "large": st.floats(-1e6, 1e6),
+}
+
+
+@st.composite
+def reward_streams(draw):
+    """(window, drop, rewards) for the degradation detector.
+
+    Rewards in [0, 1], a few repeated values, or magnitudes up to 1e6. Most
+    streams then hold a previous window and a recent one whose mean lands
+    on the previous mean minus drop: exactly (sums of dyadic values, maybe
+    nudged by an ulp), or as rounded floats compute it (each previous value
+    minus drop, or the previous mean minus drop repeated). Those are the
+    streams on which only the exact path can decide.
+    """
+    window = draw(st.integers(1, 25))
+    drop = draw(st.floats(0, 1.5))
+    values = REWARDS[draw(st.sampled_from(sorted(REWARDS)))]
+    rewards = draw(st.lists(values, max_size=3 * window))
+    threshold = draw(st.sampled_from([None, "exact", "shift", "mean"]))
+    if threshold == "exact":
+        drop = draw(st.integers(0, 12)) / 8
+        previous = [v + drop for v in draw(st.lists(DYADIC, min_size=window, max_size=window))]
+        recent = [v - drop for v in draw(st.permutations(previous))]
+        assert sum(recent) == sum(previous) - window * drop
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, window - 1))
+            recent[i] = math.nextafter(recent[i], draw(st.sampled_from([-math.inf, math.inf])))
+    elif threshold == "shift":
+        previous = draw(st.lists(values, min_size=window, max_size=window))
+        recent = [v - drop for v in draw(st.permutations(previous))]
+    elif threshold == "mean":
+        previous = draw(st.lists(values, min_size=window, max_size=window))
+        recent = [sum(previous) / window - drop] * window
+    if threshold is not None:
+        rewards += previous + recent + draw(st.lists(values, max_size=2 * window))
+    return window, drop, rewards
+
+
 class TestAdaptation:
     def test_degradation_boost(self):
         params = AgentParams(adaptive=True, eta_inc=2.0, eps_max=0.5, lambda_inc=1.5,
@@ -280,6 +325,77 @@ class TestAdaptation:
         assert detect_degradation(history, 10, 0.1)
         assert not detect_degradation(history, 10, 0.5)
         assert not detect_degradation(history[:15], 10, 0.1)   # too short
+
+    @settings(max_examples=300)
+    @given(reward_streams())
+    def test_detector_matches_detect_degradation(self, case):
+        window, drop, rewards = case
+        detector = DegradationDetector(window, drop)
+        history = []
+        for reward in rewards:
+            history.append(reward)
+            assert detector.push(reward) == detect_degradation(history, window, drop)
+            assert list(detector.history) == history[-2 * window:]
+
+    @given(reward_streams())
+    def test_detector_sums_resync_and_stay_within_bound(self, case):
+        # The running window sums equal ``sum`` when the history fills and
+        # every window pushes after, and stay within 5 w**2 u M of the exact
+        # sums (fsum rounds those once) in between.
+        window, drop, rewards = case
+        detector = DegradationDetector(window, drop)
+        history = []
+        for pushed, reward in enumerate(rewards, start=1):
+            detector.push(reward)
+            history.append(reward)
+            if pushed < 2 * window:
+                continue
+            previous, recent = history[-2 * window:-window], history[-window:]
+            if (pushed - 2 * window) % window == 0:
+                assert (detector._previous, detector._recent) == (sum(previous), sum(recent))
+            largest = max(map(abs, rewards[:pushed]))
+            slack = 5 * window ** 2 * 2.0 ** -53 * largest
+            assert abs(detector._previous - math.fsum(previous)) <= slack + math.ulp(largest)
+            assert abs(detector._recent - math.fsum(recent)) <= slack + math.ulp(largest)
+
+    @settings(max_examples=150)
+    @given(reward_streams(), st.booleans())
+    def test_adaptive_agent_matches_reference_loop(self, case, server):
+        window, drop, rewards = case
+        params = AgentParams(alpha=0.5, epsilon=0.5, adaptive=True, degradation_window=window,
+                             degradation_drop=drop)
+        rng = np.random.default_rng(0)
+        if server:
+            agent = QLearningServerPolicy(3, params)
+            state = ServerState(2, 0)
+            agent.select(0, state, rng)
+            learn = lambda reward: agent.learn(state, 1, reward, state)   # noqa: E731
+        else:
+            agent = QLearningCameraPolicy(enumerate_actions(3, 2, 3), params)
+            mask = agent.select(rng)
+            learn = lambda reward: agent.learn(mask, reward)   # noqa: E731
+        decisions = []
+        push = agent._detector.push
+        agent._detector.push = lambda reward: decisions.append(push(reward)) or decisions[-1]
+        alpha, epsilon = params.alpha, params.epsilon
+        history = []
+        for reward in rewards:
+            learn(reward)
+            history.append(reward)
+            degraded = detect_degradation(history, window, drop)
+            alpha, epsilon = adapt_params(alpha, epsilon, params, degraded)
+            assert decisions[-1] == degraded
+            assert (agent.alpha, agent.epsilon) == (alpha, epsilon)
+        assert list(agent.reward_history) == history[-2 * window:]
+
+    def test_fixed_agent_keeps_history_only(self):
+        space = enumerate_actions(3, 2, 3)
+        agent = QLearningCameraPolicy(space, AgentParams(degradation_window=2))
+        mask = agent.select(np.random.default_rng(0))
+        for reward in (0.9, 0.9, 0.1, 0.1, 0.0):
+            agent.learn(mask, reward)
+        assert list(agent.reward_history) == [0.9, 0.1, 0.1, 0.0]
+        assert (agent.alpha, agent.epsilon) == (AgentParams.alpha, AgentParams.epsilon)
 
     def test_fuzzed_adaptation_never_leaves_clamps(self):
         params = AgentParams(alpha=0.5, epsilon=0.5, adaptive=True)
@@ -439,6 +555,42 @@ class TestGreedyTriplet:
         policy.learn(mask, quality=600.0)
         policy.learn(mask, quality=400.0)
         assert policy.mean_quality[0] == pytest.approx(500.0)
+
+    @given(st.data())
+    def test_cached_choice_matches_argmax(self, data):
+        # Ties between arms, arms whose mean falls, and learns during the cold start.
+        policy = GreedyTripletCameraPolicy(data.draw(st.integers(3, 6)))
+        arms = len(policy.masks)
+        qualities = st.one_of(st.sampled_from([0.0, 250.0, 500.0, 600.0]), st.floats(0, 700))
+        learns = st.lists(st.tuples(st.integers(0, arms - 1), qualities), max_size=40)
+        for arm, quality in data.draw(learns):
+            policy.learn(policy.masks[arm], quality=quality)
+        for _ in range(arms):
+            policy.select()   # finish the cold-start sweep
+        assert policy.select() == policy.masks[int(policy.mean_quality.argmax())]
+        for arm, quality in data.draw(learns):
+            policy.learn(policy.masks[arm], quality=quality)
+            assert policy.select() == policy.masks[int(policy.mean_quality.argmax())]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e308])
+    def test_non_finite_quality_rejected(self, bad):
+        policy = GreedyTripletCameraPolicy(4)
+        policy.learn(policy.masks[1], quality=500.0)
+        policy.learn(policy.masks[2], quality=-1e308)
+        with pytest.raises(ValueError, match="finite"):
+            policy.learn(policy.masks[2], quality=bad)   # 1e308 overflows the mean
+        assert policy.counts == [0, 1, 1, 0]
+        assert policy.mean_quality.tolist() == [0.0, 500.0, -1e308, 0.0]
+        for _ in range(4):
+            policy.select()
+        assert policy.select() == policy.masks[1]
+
+    def test_mean_quality_is_read_only(self):
+        policy = GreedyTripletCameraPolicy(4)
+        with pytest.raises(ValueError, match="read-only"):
+            policy.mean_quality[0] = 700.0
+        policy.learn(policy.masks[3], quality=600.0)
+        assert policy.mean_quality.tolist() == [0.0, 0.0, 0.0, 600.0]
 
     def test_needs_three_cameras(self):
         with pytest.raises(ConfigError):
