@@ -14,7 +14,7 @@ import yaml
 
 from .disruption import DisruptionParams
 from .environment import MIN_VIEWS, LatencyModel
-from .errors import ConfigError, require_count, require_finite
+from .errors import ConfigError, require_count, require_finite, require_path
 from .masks import bitstring, require_camera_cap, subsets
 from .metrics import RewardWeights, Thresholds
 from .policies import AgentParams
@@ -59,6 +59,8 @@ class QualitySpec:
             require_finite(f"quality.table[{key!r}]", value)
         if self.noise_sd < 0:
             raise ConfigError(f"quality.noise_sd must be >= 0, got {self.noise_sd}")
+        if self.trace_path is not None:
+            require_path("quality.trace_path", self.trace_path)
         if self.mode == "trace" and not self.trace_path:
             raise ConfigError("quality.trace_path is required when quality.mode is 'trace'")
 
@@ -91,6 +93,8 @@ class ExperimentConfig:
             require_count(name, getattr(self, name))
         for name in ("bandit_epsilon", "ewma_beta"):
             require_finite(name, getattr(self, name))
+        if self.traces_dir is not None:
+            require_path("traces_dir", self.traces_dir)
         for name in ("n_frames", "n_cameras", "n_servers"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -118,10 +122,13 @@ class ExperimentConfig:
             raise ConfigError(f"bandit_epsilon must lie in [0, 1], got {self.bandit_epsilon}")
         if not 0 < self.ewma_beta <= 1:
             raise ConfigError(f"ewma_beta must lie in (0, 1], got {self.ewma_beta}")
-        if self.camera_agent is not None:
-            self.camera_agent.validate()
-        if self.server_agent is not None:
-            self.server_agent.validate()
+        for name in ("camera_agent", "server_agent"):
+            agent = getattr(self, name)
+            if agent is not None:
+                try:
+                    agent.validate()
+                except ConfigError as exc:
+                    raise ConfigError(f"{name}: {exc}") from exc
         if self.camera_policy == "greedy3":
             if self.n_cameras < 3:
                 raise ConfigError("camera_policy 'greedy3' needs n_cameras >= 3")

@@ -190,11 +190,12 @@ def run_episode(config: ExperimentConfig,
     srv_eps, srv_alpha = hasattr(server_policy, "epsilon"), hasattr(server_policy, "alpha")
     cam_select, cam_learn = camera_policy.select, camera_policy.learn
     srv_select, srv_learn = server_policy.select, server_policy.learn
-    # A fresh ServerState per frame, built without NamedTuple's Python-level __new__.
-    new_state = tuple.__new__
+    # Every ServerState the episode can meet, built once: states[k][prev] for
+    # k selected cameras and previous server prev. Frames share these objects.
+    states = [[ServerState(k, prev) for prev in range(n_servers)] for k in range(n_cameras + 1)]
     delay = config.feedback_delay_frames
     sels: list[int] = []              # with delayed feedback: selections and states
-    states: list[ServerState] = []    # awaiting their learn calls
+    seen: list[ServerState] = []      # awaiting their learn calls
     nan = float("nan")
     drawn = 0
     prev_server = INITIAL_SERVER
@@ -204,11 +205,16 @@ def run_episode(config: ExperimentConfig,
         if not (0 <= sel < n_masks and k_min <= bits[sel] <= k_max):
             raise ValueError(f"mask {bitstring(sel, n_cameras)} is not a subset of "
                              f"{k_min}..{k_max} of the {n_cameras} cameras")
-        state = new_state(ServerState, (bits[sel], prev_server))
+        by_prev = states[bits[sel]]
+        state = by_prev[prev_server]
         server = srv_select(frame, state, rng_srv)
         if not 0 <= server < n_servers:
             raise IndexError(f"server {server} out of range, trace has {n_servers}")
 
+        # Each clamp is the comparison the builtin makes, which keeps its first
+        # argument unless the second is strictly beyond it: max(0.0, v) is
+        # ``v if v > 0.0 else 0.0`` and min(1.0, v) is ``v if v < 1.0 else 1.0``,
+        # also for NaN and -0.0.
         effective = sel & availability[frame]
         k = bits[effective]
         if k < MIN_VIEWS:
@@ -216,13 +222,16 @@ def run_episode(config: ExperimentConfig,
         else:
             quality = quality_rows[frame][effective]
             if noise is not None:
-                quality = max(0.0, quality + noise[drawn])
+                quality += noise[drawn]
+                quality = quality if quality > 0.0 else 0.0
                 drawn += 1
         recon = recon_s[server][k]
         tx = (tx_ms[k] + network_ms[frame][server]) / 1000.0
         total = tx + recon
-        r_cam = w1 * min(1.0, quality / theta) + w2 * recon_score[server][k]
-        r_srv = max(0.0, 1.0 - total / phi_total)
+        score = quality / theta
+        r_cam = w1 * (score if score < 1.0 else 1.0) + w2 * recon_score[server][k]
+        r_srv = 1.0 - total / phi_total
+        r_srv = r_srv if r_srv > 0.0 else 0.0
 
         add_mask(sel)
         add_server(server)
@@ -245,17 +254,17 @@ def run_episode(config: ExperimentConfig,
         if not delay:
             # Immediate feedback: frame t+1 has not happened yet, so
             # bootstrap as if the subset size carried over.
-            cam_learn(sel, r_cam, quality=quality)
-            srv_learn(state, server, r_srv, new_state(ServerState, (bits[sel], server)), total)
+            cam_learn(sel, r_cam, quality)
+            srv_learn(state, server, r_srv, by_prev[server], total)
         else:
             sels.append(sel)
-            states.append(state)
+            seen.append(state)
             if frame >= delay:
                 # The learn call for frame t sees the state the server agent
                 # actually faced at frame t+1.
                 t = frame - delay
-                cam_learn(sels[t], log.camera_reward[t], quality=log.quality[t])
-                srv_learn(states[t], log.servers[t], log.server_reward[t], states[t + 1],
+                cam_learn(sels[t], log.camera_reward[t], log.quality[t])
+                srv_learn(seen[t], log.servers[t], log.server_reward[t], seen[t + 1],
                           log.total_s[t])
         prev_server = server
 

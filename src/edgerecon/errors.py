@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import os
 
 
 class ConfigError(ValueError):
@@ -34,3 +35,15 @@ def require_count(name: str, value) -> None:
     """Reject anything but an integer; booleans and integral floats are not counts."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def require_bool(name: str, value) -> None:
+    """Reject anything but True or False; "no", 0 and 1 are not booleans here."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
+def require_path(name: str, value) -> None:
+    """Reject anything but a path string (or path object); an int would name a file descriptor."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, require_count, require_finite
+from .errors import ConfigError, require_bool, require_count, require_finite
 from .masks import MAX_CAMERAS, subsets
 
 
@@ -188,6 +188,26 @@ def _first_max_after_write(values: np.ndarray, best: int, top: float, index: int
     return index if value > top or (value == top and index < best) else best
 
 
+def _add_to_mean(means: np.ndarray, counts: list[int], best: int, index: int, sample: float,
+                 name: str) -> int:
+    """Fold ``sample`` into arm ``index``'s running mean; returns the new first-max arm.
+
+    ``best`` is the first arm of maximal mean before the update. A sample
+    that would make the mean non-finite raises ``ValueError`` and changes
+    nothing, which keeps every mean finite, as ``_first_max_after_write``
+    needs.
+    """
+    count = counts[index] + 1
+    mean = means.item(index)
+    value = mean + (sample - mean) / count
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite and keep the mean finite, got {sample}")
+    counts[index] = count
+    top = means.item(best)
+    means[index] = value
+    return _first_max_after_write(means, best, top, index, value)
+
+
 @dataclass(frozen=True)
 class AgentParams:
     """Learning hyperparameters; the adaptive fields only apply when adaptive=True."""
@@ -211,7 +231,9 @@ class AgentParams:
         for f in fields(self):
             if f.name == "degradation_window":
                 require_count(f.name, self.degradation_window)
-            elif f.name != "adaptive":
+            elif f.name == "adaptive":
+                require_bool(f.name, self.adaptive)
+            else:
                 require_finite(f.name, getattr(self, f.name))
         if not 0 < self.alpha <= 1:
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
@@ -257,13 +279,26 @@ def detect_degradation(rewards, window: int, drop: float) -> bool:
 
 
 def adapt_params(alpha: float, epsilon: float, params: AgentParams, degraded: bool) -> tuple[float, float]:
-    """Boost exploration and learning rate on degradation, decay them otherwise."""
+    """Boost exploration and learning rate on degradation, decay them otherwise.
+
+    Each clamp is the comparison ``min(value, cap)`` or ``max(value, floor)``
+    makes: the value stays unless the bound is strictly beyond it, so the
+    results equal the builtins' bit for bit, NaN and -0.0 included.
+    """
     if degraded:
-        epsilon = min(epsilon * params.eta_inc, params.eps_max)
-        alpha = min(alpha * params.lambda_inc, params.alpha_max)
+        epsilon *= params.eta_inc
+        cap = params.eps_max
+        epsilon = cap if cap < epsilon else epsilon
+        alpha *= params.lambda_inc
+        cap = params.alpha_max
+        alpha = cap if cap < alpha else alpha
     else:
-        epsilon = max(epsilon * params.eta_dec, params.eps_min)
-        alpha = max(alpha * params.lambda_dec, params.alpha_min)
+        epsilon *= params.eta_dec
+        floor = params.eps_min
+        epsilon = floor if floor > epsilon else epsilon
+        alpha *= params.lambda_dec
+        floor = params.alpha_min
+        alpha = floor if floor > alpha else alpha
     return alpha, epsilon
 
 
@@ -424,9 +459,9 @@ class GreedyTripletCameraPolicy:
 
     Cold start cycles each 3-camera subset once (in canonical order) so every
     arm has an estimate before the argmax takes over. Latency never enters
-    the decision. ``learn`` keeps the first arm of maximal mean current, as
-    ``QTable`` keeps its greedy action, so ``select`` needs no scan;
-    ``mean_quality`` is a read-only view of the means.
+    the decision. ``learn`` keeps the first arm of maximal mean current
+    (``_add_to_mean``), as ``QTable`` keeps its greedy action, so ``select``
+    needs no scan; ``mean_quality`` is a read-only view of the means.
     """
 
     ARITY = 3
@@ -454,22 +489,17 @@ class GreedyTripletCameraPolicy:
     def learn(self, mask: int, reward: float = 0.0, quality: float | None = None) -> None:
         if quality is None:
             return
-        idx = self.index[mask]
-        count = self.counts[idx] + 1
-        means = self._means
-        mean = means.item(idx)
-        value = mean + (quality - mean) / count
-        if not math.isfinite(value):
-            raise ValueError(f"quality must be finite and keep the mean finite, got {quality}")
-        self.counts[idx] = count
-        best = self._best
-        top = means.item(best)
-        means[idx] = value
-        self._best = _first_max_after_write(means, best, top, idx, value)
+        self._best = _add_to_mean(self._means, self.counts, self._best, self.index[mask],
+                                  quality, "quality")
 
 
 class BanditCameraPolicy:
-    """Epsilon-greedy over per-subset mean reward; no bootstrapping of future value."""
+    """Epsilon-greedy over per-subset mean reward; no bootstrapping of future value.
+
+    ``learn`` keeps the first arm of maximal mean current, as greedy3 does,
+    so ``select`` makes exactly ``epsilon_greedy``'s RNG calls without its
+    scan; ``mean_reward`` is a read-only view of the means.
+    """
 
     def __init__(self, space: ActionSpace, epsilon: float = 0.1):
         if not 0 <= epsilon <= 1:
@@ -477,17 +507,21 @@ class BanditCameraPolicy:
         self.space = space
         self.epsilon = epsilon
         self.counts = [0] * len(space)
-        self.mean_reward = np.zeros(len(space))
+        self._means = np.zeros(len(space))
+        self.mean_reward = self._means.view()
+        self.mean_reward.flags.writeable = False
+        self._best = 0   # first arm of maximal mean
 
     def select(self, rng) -> int:
-        idx = epsilon_greedy(self.mean_reward, self.epsilon, rng)
-        return self.space.actions[idx]
+        actions = self.space.actions
+        epsilon = self.epsilon
+        if epsilon > 0 and rng.random() < epsilon:
+            return actions[int(rng.integers(len(actions)))]
+        return actions[self._best]
 
     def learn(self, mask: int, reward: float, quality: float | None = None) -> None:
-        idx = self.space.index[mask]
-        self.counts[idx] += 1
-        mean = self.mean_reward.item(idx)
-        self.mean_reward[idx] = mean + (reward - mean) / self.counts[idx]
+        self._best = _add_to_mean(self._means, self.counts, self._best, self.space.index[mask],
+                                  reward, "reward")
 
 
 class ServerState(NamedTuple):

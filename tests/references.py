@@ -2,7 +2,8 @@
 
 These are the tuple-mask forms the package used before its masks became
 integers: an enumerator that filters every 0/1 tuple, and the synthetic
-quality table as a dict from tuple mask to base quality.
+quality table as a dict from tuple mask to base quality. ``min_max_adapt_params``
+is ``policies.adapt_params`` written with the builtins ``min`` and ``max``.
 """
 
 import math
@@ -28,3 +29,14 @@ def synthetic_quality_table(n_cameras: int, camera_weights=None,
         s = sum(compress(camera_weights, mask))
         table[mask] = ceiling / (1.0 + math.exp(-curve * (s - midpoint)))
     return table
+
+
+def min_max_adapt_params(alpha: float, epsilon: float, params, degraded: bool):
+    """Boost epsilon and alpha on degradation, decay them otherwise, clamped by min/max."""
+    if degraded:
+        epsilon = min(epsilon * params.eta_inc, params.eps_max)
+        alpha = min(alpha * params.lambda_inc, params.alpha_max)
+    else:
+        epsilon = max(epsilon * params.eta_dec, params.eps_min)
+        alpha = max(alpha * params.lambda_dec, params.alpha_min)
+    return alpha, epsilon

@@ -77,6 +77,22 @@ class TestRun:
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path)) == EXIT_CONFIG_ERROR
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, field", [
+        ("quality:\n  mode: trace\n  trace_path: 7\n", "quality.trace_path"),
+        ("traces_dir: 5\n", "traces_dir"),
+        ("camera_agent:\n  adaptive: \"no\"\n", "camera_agent: adaptive"),
+        ("server_agent:\n  adaptive: 1\n", "server_agent: adaptive"),
+    ], ids=["fd-trace-path", "int-traces-dir", "string-adaptive", "int-adaptive"])
+    def test_mistyped_path_or_flag_exits_config_error(self, tmp_path, capsys, text, field):
+        # An int path would open an inherited file descriptor, and the string
+        # "no" is truthy: both fail at the boundary instead.
+        config = write_config(tmp_path, SMALL_CONFIG + text)
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) \
+            == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert field in err
+        assert not (tmp_path / "out").exists()
+
     def test_too_many_cameras_exits_config_error_at_once(self, tmp_path, capsys):
         # 30 cameras would mean tables over 2**30 masks; the cap stops the
         # run before anything is enumerated.

@@ -102,7 +102,8 @@ class _SpyServerPolicy(RoundRobinServerPolicy):
 
     def learn(self, state, action, reward, next_state, total_latency_s=None):
         # Loop step is inferred from how many selections have happened.
-        self.learn_calls.append((len(self.seen_states) - 1, state, action, next_state))
+        self.learn_calls.append((len(self.seen_states) - 1, state, action, reward, next_state,
+                                 total_latency_s))
 
 
 class TestCausalityAndDelay:
@@ -127,31 +128,41 @@ class TestCausalityAndDelay:
             (step, state) for step, state in zip(range(10), spy.seen_states)
         ]
 
-    def _frame_of(self, spy, state) -> int:
-        # States repeat by value across frames; the controller hands the same
-        # object through, so identity pins down the frame.
-        return next(i for i, seen in enumerate(spy.seen_states) if seen is state)
-
     def test_delayed_feedback_learn_ordering(self):
-        # With delay d, the learn call for frame t happens at loop step t + d.
+        # With delay d, learn call i happens at loop step i + d and carries
+        # frame i's state, server, reward, next state and latency. Frames
+        # share state objects, so states are compared by value.
         delay = 2
         spy = _SpyServerPolicy(4)
-        run_episode(small_config(n_frames=10, feedback_delay_frames=delay),
-                    server_policy=spy)
-        steps = [call[0] for call in spy.learn_calls]
-        learned_frames = [self._frame_of(spy, call[1]) for call in spy.learn_calls]
-        assert steps == [frame + delay for frame in learned_frames]
+        _, log = run_episode(small_config(n_frames=10, feedback_delay_frames=delay),
+                             server_policy=spy)
         # Frames too close to the end never get feedback.
         assert len(spy.learn_calls) == 10 - delay
+        seen = spy.seen_states
+        for i, (step, *call) in enumerate(spy.learn_calls):
+            assert step == i + delay
+            assert call == [seen[i], log.servers[i], log.server_reward[i], seen[i + 1],
+                            log.total_s[i]]
 
     def test_delayed_feedback_uses_observed_next_state(self):
         delay = 1
         spy = _SpyServerPolicy(4)
-        run_episode(small_config(n_frames=10, feedback_delay_frames=delay),
-                    server_policy=spy)
-        for _step, state, _action, next_state in spy.learn_calls:
-            frame = self._frame_of(spy, state)
-            assert next_state is spy.seen_states[frame + 1]
+        _, log = run_episode(small_config(n_frames=10, feedback_delay_frames=delay),
+                             server_policy=spy)
+        for i, (_step, state, _action, _reward, next_state, _total) in enumerate(spy.learn_calls):
+            assert next_state == spy.seen_states[i + 1]
+            assert next_state == (sum(log[i + 1].mask), log.servers[i])
+
+    @pytest.mark.parametrize("delay", [0, 2])
+    def test_server_states_are_shared_across_frames(self, delay):
+        # One object per (camera count, previous server), whatever the length.
+        spy = _SpyServerPolicy(4)
+        config = small_config(n_frames=300, camera_policy="qlearning",
+                              feedback_delay_frames=delay)
+        run_episode(config, server_policy=spy)
+        handed = spy.seen_states + [call[i] for call in spy.learn_calls for i in (1, 4)]
+        assert len(handed) >= 300
+        assert len({id(state) for state in handed}) <= (config.n_cameras + 1) * config.n_servers
 
 
 class TestGreedy3Integration:

@@ -148,7 +148,8 @@ def small_configs(draw):
         thresholds=Thresholds(theta=draw(st.floats(150.0, 600.0)), phi_total_s=phi_total,
                               phi_recon_s=draw(st.floats(0.5, phi_total))),
         quality=QualitySpec(
-            noise_sd=draw(st.sampled_from([0.0, 30.0])),
+            # 1000 takes many frames' quality below 0, where the clamp sets 0.0.
+            noise_sd=draw(st.sampled_from([0.0, 30.0, 1000.0])),
             camera_weights=weights,
             table=table,
         ),

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from edgerecon.policies import (ActionSpace, AgentParams, BanditCameraPolicy, De
                                 QLearningCameraPolicy, QLearningServerPolicy, RandomCameraPolicy,
                                 RoundRobinServerPolicy, ServerState, adapt_params,
                                 detect_degradation, enumerate_actions, epsilon_greedy, q_update)
-from references import tuple_subsets
+from references import min_max_adapt_params, tuple_subsets
 
 # chi-square critical values at the 99.9th percentile
 CHI2_DF9_999 = 27.88
@@ -304,6 +305,41 @@ class TestAdaptation:
         alpha, epsilon = adapt_params(0.05, 0.05, params, degraded=False)
         assert epsilon == 0.05
         assert alpha == 0.05
+
+    @settings(max_examples=300)
+    @given(st.data(), st.booleans())
+    def test_clamps_bit_identical_to_min_max(self, data, degraded):
+        # Factors 2 and 0.5 let a product land exactly on its bound, where
+        # min/max keep their first argument; NaN, infinities and -0.0 too.
+        specials = st.sampled_from([0.0, -0.0, 0.05, 0.9, 1.0, math.nan, math.inf, -math.inf])
+        factors = st.sampled_from([0.5, 2.0]) | st.floats()
+        params = AgentParams(
+            **{name: data.draw(factors, label=name)
+               for name in ("eta_inc", "eta_dec", "lambda_inc", "lambda_dec")},
+            **{name: data.draw(specials | st.floats(), label=name)
+               for name in ("eps_min", "eps_max", "alpha_min", "alpha_max")})
+        if degraded:
+            pairs = (params.lambda_inc, params.alpha_max), (params.eta_inc, params.eps_max)
+        else:
+            pairs = (params.lambda_dec, params.alpha_min), (params.eta_dec, params.eps_min)
+        alpha, epsilon = (data.draw(st.just(bound / factor if factor else bound) | specials
+                                    | st.floats()) for factor, bound in pairs)
+        got = adapt_params(alpha, epsilon, params, degraded)
+        want = min_max_adapt_params(alpha, epsilon, params, degraded)
+        assert [struct.pack("d", v) for v in got] == [struct.pack("d", v) for v in want]
+
+    @pytest.mark.parametrize("alpha, epsilon, degraded, bound", [
+        (0.45, 0.45, True, 0.9), (0.025, 0.025, False, 0.05),   # products equal the bounds
+        (-0.0, -0.0, False, 0.0), (0.0, 0.0, True, -0.0),       # ties of -0.0 and 0.0
+    ])
+    def test_clamp_ties_keep_the_product(self, alpha, epsilon, degraded, bound):
+        params = AgentParams(eta_inc=2.0, eta_dec=2.0, lambda_inc=2.0, lambda_dec=2.0,
+                             eps_min=bound, eps_max=bound, alpha_min=bound, alpha_max=bound)
+        products = (alpha * 2.0, epsilon * 2.0)
+        assert products == (bound, bound)
+        for result in (adapt_params(alpha, epsilon, params, degraded),
+                       min_max_adapt_params(alpha, epsilon, params, degraded)):
+            assert [struct.pack("d", v) for v in result] == [struct.pack("d", v) for v in products]
 
     def test_flat_history_decays_monotonically(self):
         params = AgentParams(alpha=0.5, epsilon=0.8, adaptive=True, degradation_window=5)
@@ -601,9 +637,55 @@ class TestBandit:
     def test_greedy_on_means(self):
         space = enumerate_actions(2, 1, 1)
         policy = BanditCameraPolicy(space, epsilon=0.0)
-        policy.mean_reward[0] = 0.9
-        policy.mean_reward[1] = 0.1
+        policy.learn(space.actions[1], 0.1)
+        policy.learn(space.actions[0], 0.9)
+        assert policy.mean_reward.tolist() == [0.9, 0.1]
         assert policy.select(np.random.default_rng(0)) == space.actions[0]
+
+    @given(st.data())
+    def test_cached_choice_matches_argmax(self, data):
+        # Ties between arms (equal means) and arms whose mean falls.
+        space = enumerate_actions(data.draw(st.integers(2, 4)), 1, 2)
+        policy = BanditCameraPolicy(space, epsilon=0.0)
+        rewards = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(-1, 2))
+        learns = st.lists(st.tuples(st.integers(0, len(space) - 1), rewards), max_size=40)
+        rng = np.random.default_rng(0)
+        for arm, reward in data.draw(learns):
+            policy.learn(space.actions[arm], reward)
+            assert policy.select(rng) == space.actions[int(policy.mean_reward.argmax())]
+
+    @settings(max_examples=50)
+    @given(st.floats(0, 1), st.integers(0, 2 ** 16))
+    def test_select_draws_as_epsilon_greedy(self, epsilon, seed):
+        # Same choices and the same RNG calls: both generators stay in step.
+        space = enumerate_actions(4, 1, 3)
+        policy = BanditCameraPolicy(space, epsilon=epsilon)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for step in range(30):
+            policy.learn(space.actions[step * 7 % len(space)], step % 5 / 4)
+            idx = epsilon_greedy(policy.mean_reward, epsilon, theirs)
+            assert policy.select(ours) == space.actions[idx]
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e308])
+    def test_non_finite_reward_rejected(self, bad):
+        space = enumerate_actions(2, 1, 2)
+        policy = BanditCameraPolicy(space, epsilon=0.0)
+        policy.learn(space.actions[1], 0.5)
+        policy.learn(space.actions[2], -1e308)
+        with pytest.raises(ValueError, match="finite"):
+            policy.learn(space.actions[2], bad)   # 1e308 overflows the mean
+        assert policy.counts == [0, 1, 1]
+        assert policy.mean_reward.tolist() == [0.0, 0.5, -1e308]
+        assert policy.select(np.random.default_rng(0)) == space.actions[1]
+
+    def test_mean_reward_is_read_only(self):
+        space = enumerate_actions(2, 1, 1)
+        policy = BanditCameraPolicy(space)
+        with pytest.raises(ValueError, match="read-only"):
+            policy.mean_reward[0] = 0.9
+        policy.learn(space.actions[1], 0.75)
+        assert policy.mean_reward.tolist() == [0.0, 0.75]
 
     def test_running_mean(self):
         space = enumerate_actions(2, 1, 1)
