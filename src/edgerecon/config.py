@@ -214,6 +214,12 @@ def _as_mapping(value, context: str) -> dict:
     return dict(value)
 
 
+def _as_tuple(value, name: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def _dataclass_from(section, cls, context: str):
     section = _as_mapping(section, context)
     names = {f.name for f in fields(cls)}
@@ -254,23 +260,26 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                     f"disruption.{banned} is derived from the top-level config; remove it"
                 )
         if "correlation_groups" in section:
-            section["correlation_groups"] = tuple(tuple(g) for g in section["correlation_groups"])
+            name = "disruption.correlation_groups"
+            section["correlation_groups"] = tuple(
+                _as_tuple(g, f"{name} entry") for g in _as_tuple(section["correlation_groups"], name))
         if "spike_range_ms" in section:
-            section["spike_range_ms"] = tuple(section["spike_range_ms"])
+            section["spike_range_ms"] = _as_tuple(section["spike_range_ms"], "disruption.spike_range_ms")
         if "spike_servers" in section and section["spike_servers"] is not None:
-            section["spike_servers"] = tuple(section["spike_servers"])
+            section["spike_servers"] = _as_tuple(section["spike_servers"], "disruption.spike_servers")
         names = {f.name for f in fields(DisruptionParams)} - {"n_frames", "n_cameras", "n_servers", "seed"}
         _take(section, names, "disruption")
         kwargs["disruption_section"] = section
     if "quality" in raw:
         section = _as_mapping(raw["quality"], "quality")
         if "camera_weights" in section and section["camera_weights"] is not None:
-            section["camera_weights"] = tuple(section["camera_weights"])
+            section["camera_weights"] = _as_tuple(section["camera_weights"], "quality.camera_weights")
         kwargs["quality"] = _dataclass_from(section, QualitySpec, "quality")
     if "latency" in raw:
         section = _as_mapping(raw["latency"], "latency")
         if "server_speed_factor" in section and section["server_speed_factor"] is not None:
-            section["server_speed_factor"] = tuple(section["server_speed_factor"])
+            section["server_speed_factor"] = _as_tuple(section["server_speed_factor"],
+                                                       "latency.server_speed_factor")
         kwargs["latency"] = _dataclass_from(section, LatencyModel, "latency")
 
     disruption_section = kwargs.pop("disruption_section", None)

@@ -29,9 +29,9 @@ from .environment import MIN_VIEWS, QualityModel, load_quality_trace
 from .errors import ConfigError
 from .masks import bitstring, mask_from_str
 from .metrics import FrameLog, RunStats
-from .policies import (BanditCameraPolicy, GreedyTripletCameraPolicy, LatencyGreedyServerPolicy,
-                       QLearningCameraPolicy, QLearningServerPolicy, RandomCameraPolicy,
-                       RoundRobinServerPolicy, ServerState, enumerate_actions)
+from .policies import (BanditCameraPolicy, DrawStream, GreedyTripletCameraPolicy,
+                       LatencyGreedyServerPolicy, QLearningCameraPolicy, QLearningServerPolicy,
+                       RandomCameraPolicy, RoundRobinServerPolicy, ServerState, enumerate_actions)
 
 # The per-frame reference the engine reproduces without calling it. The names
 # stay importable from this module, where perfbench's tracer rebinds them.
@@ -142,9 +142,11 @@ def run_episode(config: ExperimentConfig,
         server_policy = build_server_policy(config)
     quality_model = build_quality_model(config)
 
+    # The policies draw through DrawStreams: the same values as their
+    # generators' random() and integers(n), without numpy's per-call cost.
     rng_env = np.random.default_rng([config.seed, _ENV_STREAM])
-    rng_cam = np.random.default_rng([config.seed, _CAMERA_POLICY_STREAM])
-    rng_srv = np.random.default_rng([config.seed, _SERVER_POLICY_STREAM])
+    rng_cam = DrawStream(np.random.default_rng([config.seed, _CAMERA_POLICY_STREAM]))
+    rng_srv = DrawStream(np.random.default_rng([config.seed, _SERVER_POLICY_STREAM]))
 
     # Per-episode lookup tables, indexed by integer mask where they hold one
     # entry per subset.

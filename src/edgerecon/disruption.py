@@ -142,6 +142,7 @@ class DisruptionParams:
             if not group:
                 raise ConfigError("correlation_groups entries must not be empty")
             for cam in group:
+                require_count("disruption.correlation_groups entry", cam)
                 if not 0 <= cam < self.n_cameras:
                     raise ConfigError(
                         f"correlation_groups references camera {cam}, "
@@ -166,6 +167,7 @@ class DisruptionParams:
             if not self.spike_servers:
                 raise ConfigError("spike_servers must not be an empty list")
             for srv in self.spike_servers:
+                require_count("disruption.spike_servers entry", srv)
                 if not 0 <= srv < self.n_servers:
                     raise ConfigError(
                         f"spike_servers references server {srv}, valid range is 0..{self.n_servers - 1}"

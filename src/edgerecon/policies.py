@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field, fields
 from itertools import islice
@@ -51,6 +52,95 @@ def enumerate_actions(n_cameras: int, k_min: int, k_max: int) -> ActionSpace:
         actions=actions,
         index={mask: i for i, mask in enumerate(actions)},
     )
+
+
+# Raw 64-bit outputs a DrawStream reads from its generator per refill.
+_DRAW_BLOCK = 1024
+
+
+class DrawStream:
+    """A PCG64 ``Generator``'s ``random()`` and ``integers(n)``, read ahead in blocks.
+
+    Each call returns exactly the value the wrapped generator's own call
+    would return at that point of the stream, in the same order, without
+    numpy's per-call overhead. The stream reads raw outputs through
+    ``bit_generator.random_raw`` in blocks of ``_DRAW_BLOCK``, so the
+    wrapped generator runs ahead of it; draw from one or the other, not both.
+
+    The emulation follows numpy's C code for PCG64 (O'Neill 2014):
+
+    - ``random()`` is ``(raw >> 11) * 2**-53`` of the next raw output,
+      converted a block at a time.
+    - ``integers(n)`` for 1 <= n <= 2**32 reads 32-bit halves as PCG64's
+      ``next_uint32`` does: the low half of a fresh raw output, then its
+      buffered high half. The buffer starts as the generator's
+      ``has_uint32``/``uinteger`` state. Each half u goes through numpy's
+      Lemire rejection loop (Lemire, ACM TOMACS 2019): m = u * n, rejected
+      while m mod 2**32 < (2**32 - n) mod n, and the result is m >> 32.
+      ``integers(1)`` draws nothing. Past 2**32 numpy switches to 64-bit
+      draws, which this class does not emulate.
+
+    These rest on numpy internals, not on its documented interface; the
+    tests compare every call with a ``Generator`` on the same seed.
+    """
+
+    __slots__ = ("_bit_generator", "_raw", "_doubles", "_next", "_half")
+
+    def __init__(self, generator: np.random.Generator):
+        bit_generator = generator.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError(f"DrawStream needs a PCG64 generator, got "
+                            f"{type(bit_generator).__name__}")
+        state = bit_generator.state
+        self._bit_generator = bit_generator
+        self._half = state["uinteger"] if state["has_uint32"] else None   # buffered high half
+        self._raw = np.empty(0, dtype=np.uint64)   # the current block
+        self._doubles: list[float] = []            # its random() values
+        self._next = 0                             # next unread position in the block
+
+    def _refill(self) -> None:
+        raw = self._bit_generator.random_raw(_DRAW_BLOCK)
+        self._raw = raw
+        self._doubles = ((raw >> np.uint64(11)) * 2.0 ** -53).tolist()
+
+    def random(self) -> float:
+        """The next ``Generator.random()`` value."""
+        i = self._next
+        self._next = i + 1
+        try:
+            return self._doubles[i]
+        except IndexError:
+            self._refill()
+            self._next = 1
+            return self._doubles[0]
+
+    def integers(self, n: int) -> int:
+        """The next ``Generator.integers(n)`` value, in [0, n), as an int."""
+        n = operator.index(n)
+        if not 1 <= n <= 4294967296:
+            raise ValueError(f"DrawStream.integers needs 1 <= n <= 2**32, got {n}")
+        if n == 1:
+            return 0
+        while True:
+            half = self._half
+            if half is None:
+                i = self._next
+                self._next = i + 1
+                try:
+                    raw = self._raw.item(i)
+                except IndexError:
+                    self._refill()
+                    self._next = 1
+                    raw = self._raw.item(0)
+                self._half = raw >> 32
+                m = (raw & 0xFFFFFFFF) * n
+            else:
+                self._half = None
+                m = half * n
+            leftover = m & 0xFFFFFFFF
+            # numpy computes the threshold, which is < n, only when leftover < n.
+            if leftover >= n or leftover >= (4294967296 - n) % n:
+                return m >> 32
 
 
 def epsilon_greedy(q_values, epsilon: float, rng) -> int:
@@ -186,6 +276,19 @@ def _first_max_after_write(values: np.ndarray, best: int, top: float, index: int
     if index == best:
         return int(values.argmax()) if value < top else best
     return index if value > top or (value == top and index < best) else best
+
+
+def _first_min_after_write(values: np.ndarray, best: int, low: float, index: int,
+                           value: float) -> int:
+    """``int(values.argmin())`` after ``values[index]`` was set to ``value``.
+
+    The mirror of ``_first_max_after_write``: ``best`` was the first index
+    of the minimum before the write and ``low`` its value; only a rise of
+    ``best``'s own value needs a rescan.
+    """
+    if index == best:
+        return int(values.argmin()) if value > low else best
+    return index if value < low or (value == low and index < best) else best
 
 
 def _add_to_mean(means: np.ndarray, counts: list[int], best: int, index: int, sample: float,
@@ -578,7 +681,9 @@ class LatencyGreedyServerPolicy:
 
     Only the chosen server's estimate is refreshed each frame, so estimates
     for servers it stops visiting go stale; that is the point of comparing
-    against learners that keep exploring.
+    against learners that keep exploring. ``learn`` keeps the first server
+    of minimal estimate current (``_first_min_after_write``), so ``select``
+    needs no scan; ``estimates`` is a read-only view.
     """
 
     def __init__(self, n_servers: int, beta: float = 0.3):
@@ -588,14 +693,28 @@ class LatencyGreedyServerPolicy:
             raise ConfigError(f"ewma beta must lie in (0, 1], got {beta}")
         self.n_servers = n_servers
         self.beta = beta
-        self.estimates = np.zeros(n_servers)
+        self._estimates = np.zeros(n_servers)
+        self.estimates = self._estimates.view()
+        self.estimates.flags.writeable = False
+        self._best = 0   # first server of minimal estimate
 
     def select(self, frame: int, state: ServerState | None = None, rng=None) -> int:
-        return int(self.estimates.argmin())
+        return self._best
 
     def learn(self, state, action, reward, next_state, total_latency_s=None) -> None:
+        """Fold ``total_latency_s`` into ``action``'s estimate.
+
+        A non-finite latency raises ``ValueError`` and changes nothing, which
+        keeps every estimate finite, as ``_first_min_after_write`` needs.
+        """
         if total_latency_s is None:
             return
-        self.estimates[action] = (
-            self.beta * total_latency_s + (1.0 - self.beta) * self.estimates.item(action)
-        )
+        estimates = self._estimates
+        value = self.beta * total_latency_s + (1.0 - self.beta) * estimates.item(action)
+        if not math.isfinite(value):
+            raise ValueError(f"total_latency_s must be finite, got {total_latency_s}")
+        best = self._best
+        low = estimates.item(best)
+        estimates[action] = value
+        if (action == best) == (value > low):   # else the write cannot move the minimum
+            self._best = _first_min_after_write(estimates, best, low, action, value)

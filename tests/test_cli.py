@@ -93,6 +93,29 @@ class TestRun:
         assert field in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, field", [
+        ("latency:\n  server_speed_factor: 3\n", "latency.server_speed_factor"),
+        ("disruption:\n  correlation_groups: [[0.5]]\n", "disruption.correlation_groups"),
+        ("disruption:\n  spike_servers: [1.5]\n", "disruption.spike_servers"),
+        ("disruption:\n  correlation_groups: \"ab\"\n", "disruption.correlation_groups"),
+        ("disruption:\n  correlation_groups: [0, 1]\n", "disruption.correlation_groups"),
+        ("disruption:\n  spike_range_ms: 500\n", "disruption.spike_range_ms"),
+        ("quality:\n  camera_weights: 2\n", "quality.camera_weights"),
+    ], ids=["scalar-speed-factor", "float-camera", "float-server", "string-groups", "flat-groups",
+            "scalar-spike-range", "scalar-weights"])
+    def test_mistyped_list_exits_config_error(self, tmp_path, capsys, text, field):
+        # With one bump and one spike in 200 frames, a float camera or server
+        # index would reach numpy indexing inside trace generation.
+        if text.startswith("disruption"):
+            text += "  n_bump_events: 1\n  n_spike_events: 1\n"
+        config = write_config(tmp_path, "n_frames: 200\nseed: 1\n" + text)
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) \
+            == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert field in err
+        assert "not supported" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_too_many_cameras_exits_config_error_at_once(self, tmp_path, capsys):
         # 30 cameras would mean tables over 2**30 masks; the cap stops the
         # run before anything is enumerated.

@@ -727,14 +727,23 @@ class TestRoundRobin:
         assert list(counts) == [1000, 1000, 1000, 1000]
 
 
+def seeded_latency_greedy(beta, estimates):
+    """A latency_greedy policy whose estimates were set through ``learn``."""
+    policy = LatencyGreedyServerPolicy(len(estimates), beta=1.0)
+    for server, estimate in enumerate(estimates):
+        policy.learn(None, server, 0.0, None, total_latency_s=estimate)   # beta 1: exact
+    policy.beta = beta
+    return policy
+
+
 class TestLatencyGreedy:
     def test_all_equal_estimates_pick_zero(self):
         policy = LatencyGreedyServerPolicy(4)
         assert policy.select(0) == 0
 
     def test_ewma_update(self):
-        policy = LatencyGreedyServerPolicy(2, beta=0.5)
-        policy.estimates[0] = 0.200
+        policy = seeded_latency_greedy(0.5, [0.200, 0.0])
+        assert policy.estimates.tolist() == [0.200, 0.0]
         policy.learn(None, 0, 0.0, None, total_latency_s=0.400)
         assert policy.estimates[0] == pytest.approx(0.300)
 
@@ -745,15 +754,41 @@ class TestLatencyGreedy:
         beta = 0.3
         L0, e1, Ls = 2.0, 2.5, 6.0
         expected = math.ceil(math.log((Ls - L0) / (Ls - e1)) / math.log(1.0 / (1.0 - beta)))
-        policy = LatencyGreedyServerPolicy(2, beta=beta)
-        policy.estimates[0] = L0
-        policy.estimates[1] = e1
+        policy = seeded_latency_greedy(beta, [L0, e1])
+        assert policy.estimates.tolist() == [L0, e1]
         frames = 0
         while policy.select(frames) == 0:
             policy.learn(None, 0, 0.0, None, total_latency_s=Ls)
             frames += 1
             assert frames < 100
         assert frames == expected
+
+    @given(st.data())
+    def test_cached_choice_matches_argmin(self, data):
+        # Ties between servers (equal estimates) and estimates that rise.
+        n_servers = data.draw(st.integers(1, 5))
+        policy = LatencyGreedyServerPolicy(n_servers, beta=data.draw(st.sampled_from([0.3, 0.5, 1.0])))
+        latencies = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0, 10))
+        learns = st.lists(st.tuples(st.integers(0, n_servers - 1), latencies), max_size=40)
+        for server, latency in data.draw(learns):
+            policy.learn(None, server, 0.0, None, total_latency_s=latency)
+            assert policy.select(0) == int(policy.estimates.argmin())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_latency_rejected(self, bad):
+        policy = seeded_latency_greedy(0.5, [1.0, 2.0, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            policy.learn(None, 2, 0.0, None, total_latency_s=bad)
+        assert policy.estimates.tolist() == [1.0, 2.0, 0.5]
+        assert policy.select(0) == 2
+
+    def test_estimates_are_read_only(self):
+        policy = LatencyGreedyServerPolicy(2)
+        with pytest.raises(ValueError, match="read-only"):
+            policy.estimates[0] = 0.5
+        policy.learn(None, 1, 0.0, None, total_latency_s=1.0)
+        assert policy.estimates.tolist() == [0.0, 0.3]
+        assert policy.select(0) == 0
 
     def test_beta_validated(self):
         with pytest.raises(ConfigError):
