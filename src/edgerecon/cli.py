@@ -148,7 +148,6 @@ def cmd_compare(args) -> int:
         variant.camera_agent = None if args.axis == "camera" else base.camera_agent
         variant.server_agent = None if args.axis == "server" else base.server_agent
         variant = apply_overrides(variant, seed=variant.seed)
-        variant.validate()
         configs.append(variant)
 
     results = run_grid(configs, ids=list(policies))

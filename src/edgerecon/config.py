@@ -7,15 +7,17 @@ keys so typos fail loudly instead of silently falling back to defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
 
 from .disruption import DisruptionParams
-from .environment import MIN_VIEWS, LatencyModel
-from .errors import ConfigError, require_count, require_finite, require_path
-from .masks import bitstring, require_camera_cap, subsets
+from .environment import MIN_VIEWS, LatencyModel, QualitySpec
+from .errors import (PATH, ConfigError, Integer, OneOf, Optional, Real, Section, check_fields,
+                     load_section, setting)
+from .masks import MAX_CAMERAS, bitstring, subsets
 from .metrics import RewardWeights, Thresholds
 from .policies import AgentParams
 
@@ -36,131 +38,62 @@ def default_server_agent_params(policy: str) -> AgentParams:
 
 
 @dataclass
-class QualitySpec:
-    """How per-frame quality is produced: synthetic table + noise, or a replayed trace."""
-
-    mode: str = "synthetic"
-    noise_sd: float = 30.0
-    camera_weights: tuple[float, ...] | None = None
-    ceiling: float = 660.0
-    curve: float = 2.6
-    midpoint: float = 1.72
-    table: dict[str, float] | None = None     # explicit bitstring -> base override
-    trace_path: str | None = None
-
-    def validate(self) -> None:
-        if self.mode not in ("synthetic", "trace"):
-            raise ConfigError(f"quality.mode must be 'synthetic' or 'trace', got {self.mode!r}")
-        for name in ("noise_sd", "ceiling", "curve", "midpoint"):
-            require_finite(f"quality.{name}", getattr(self, name))
-        for weight in self.camera_weights or ():
-            require_finite("quality.camera_weights", weight)
-        for key, value in (self.table or {}).items():
-            require_finite(f"quality.table[{key!r}]", value)
-        if self.noise_sd < 0:
-            raise ConfigError(f"quality.noise_sd must be >= 0, got {self.noise_sd}")
-        if self.trace_path is not None:
-            require_path("quality.trace_path", self.trace_path)
-        if self.mode == "trace" and not self.trace_path:
-            raise ConfigError("quality.trace_path is required when quality.mode is 'trace'")
-
-
-@dataclass
 class ExperimentConfig:
-    n_frames: int = 4000
-    n_cameras: int = 5
-    n_servers: int = 4
-    k_min: int = 2
-    k_max: int = 5
-    seed: int = 0
-    camera_policy: str = "qlearning"
-    server_policy: str = "round_robin"
-    feedback_delay_frames: int = 0
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    weights: RewardWeights = field(default_factory=RewardWeights)
-    camera_agent: AgentParams | None = None     # None -> policy-specific defaults
-    server_agent: AgentParams | None = None
-    bandit_epsilon: float = 0.1
-    ewma_beta: float = 0.3
-    disruption: DisruptionParams | None = None  # None -> defaults sized from this config
-    traces_dir: str | None = None               # load cameras.csv/servers.csv instead of generating
-    quality: QualitySpec = field(default_factory=QualitySpec)
-    latency: LatencyModel = field(default_factory=LatencyModel)
+    n_frames: int = setting(Integer("[1, inf)"), 4000)
+    n_cameras: int = setting(Integer(f"[1, {MAX_CAMERAS}]"), 5)
+    n_servers: int = setting(Integer("[1, inf)"), 4)
+    k_min: int = setting(Integer("[1, inf)"), 2)
+    k_max: int = setting(Integer("[k_min, n_cameras]"), 5)
+    seed: int = setting(Integer("[0, inf)"), 0)
+    camera_policy: str = setting(OneOf(CAMERA_POLICIES), "qlearning")
+    server_policy: str = setting(OneOf(SERVER_POLICIES), "round_robin")
+    feedback_delay_frames: int = setting(Integer("[0, inf)"), 0)
+    thresholds: Thresholds = setting(Section(Thresholds), factory=Thresholds)
+    weights: RewardWeights = setting(Section(RewardWeights), factory=RewardWeights)
+    # None -> policy-specific defaults
+    camera_agent: AgentParams | None = setting(Optional(Section(AgentParams)), None)
+    server_agent: AgentParams | None = setting(Optional(Section(AgentParams)), None)
+    bandit_epsilon: float = setting(Real("[0, 1]"), 0.1)
+    ewma_beta: float = setting(Real("(0, 1]"), 0.3)
+    # None -> defaults sized from this config
+    disruption: DisruptionParams | None = setting(Optional(Section(DisruptionParams)), None)
+    # Load cameras.csv/servers.csv from here instead of generating them.
+    traces_dir: str | None = setting(Optional(PATH), None)
+    quality: QualitySpec = setting(Section(QualitySpec), factory=QualitySpec)
+    latency: LatencyModel = setting(Section(LatencyModel), factory=LatencyModel)
 
     def validate(self) -> None:
-        for name in ("n_frames", "n_cameras", "n_servers", "k_min", "k_max", "seed",
-                     "feedback_delay_frames"):
-            require_count(name, getattr(self, name))
-        for name in ("bandit_epsilon", "ewma_beta"):
-            require_finite(name, getattr(self, name))
-        if self.traces_dir is not None:
-            require_path("traces_dir", self.traces_dir)
-        for name in ("n_frames", "n_cameras", "n_servers"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        require_camera_cap(self.n_cameras)
-        if not 1 <= self.k_min <= self.k_max <= self.n_cameras:
+        check_fields(self, "")
+        if self.camera_policy == "greedy3" and not self.k_min <= 3 <= self.k_max:
             raise ConfigError(
-                f"need 1 <= k_min <= k_max <= n_cameras, got "
-                f"({self.k_min}, {self.k_max}, {self.n_cameras})"
+                "camera_policy 'greedy3' emits 3-camera subsets, which violates "
+                f"subset bounds [k_min, k_max] = [{self.k_min}, {self.k_max}]"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.camera_policy not in CAMERA_POLICIES:
+        quality, latency = self.quality, self.latency
+        speeds = latency.server_speed_factor
+        if speeds is not None and len(speeds) != self.n_servers:
             raise ConfigError(
-                f"camera_policy must be one of {CAMERA_POLICIES}, got {self.camera_policy!r}"
+                f"latency.server_speed_factor has {len(speeds)} entries, "
+                f"expected n_servers={self.n_servers}"
             )
-        if self.server_policy not in SERVER_POLICIES:
-            raise ConfigError(
-                f"server_policy must be one of {SERVER_POLICIES}, got {self.server_policy!r}"
-            )
-        if self.feedback_delay_frames < 0:
-            raise ConfigError(
-                f"feedback_delay_frames must be >= 0, got {self.feedback_delay_frames}"
-            )
-        if not 0 <= self.bandit_epsilon <= 1:
-            raise ConfigError(f"bandit_epsilon must lie in [0, 1], got {self.bandit_epsilon}")
-        if not 0 < self.ewma_beta <= 1:
-            raise ConfigError(f"ewma_beta must lie in (0, 1], got {self.ewma_beta}")
-        for name in ("camera_agent", "server_agent"):
-            agent = getattr(self, name)
-            if agent is not None:
-                try:
-                    agent.validate()
-                except ConfigError as exc:
-                    raise ConfigError(f"{name}: {exc}") from exc
-        if self.camera_policy == "greedy3":
-            if self.n_cameras < 3:
-                raise ConfigError("camera_policy 'greedy3' needs n_cameras >= 3")
-            if not self.k_min <= 3 <= self.k_max:
-                raise ConfigError(
-                    "camera_policy 'greedy3' emits 3-camera subsets, which violates "
-                    f"subset bounds [{self.k_min}, {self.k_max}]"
-                )
-        self.quality.validate()
-        if (self.latency.server_speed_factor is not None
-                and len(self.latency.server_speed_factor) != self.n_servers):
-            raise ConfigError(
-                f"latency.server_speed_factor has {len(self.latency.server_speed_factor)} "
-                f"entries, expected n_servers={self.n_servers}"
-            )
-        if self.quality.table is not None:
-            for key in self.quality.table:
-                if not isinstance(key, str) or len(key) != self.n_cameras or set(key) - {"0", "1"}:
+        if quality.table is not None:
+            for key in quality.table:
+                if len(key) != self.n_cameras:
                     raise ConfigError(
                         f"quality.table key {key!r} is not a bitstring of {self.n_cameras} bits"
                     )
             # Outages can leave any subset of MIN_VIEWS..k_max selected cameras.
             for mask in subsets(self.n_cameras, MIN_VIEWS, self.k_max):
                 key = bitstring(mask, self.n_cameras)
-                if key not in self.quality.table:
+                if key not in quality.table:
                     raise ConfigError(
                         f"quality.table has no entry for subset {key}; it must "
                         f"cover every subset of {MIN_VIEWS}..k_max={self.k_max} cameras"
                     )
+        elif quality.mode == "synthetic":
+            quality.synthetic_weights(self.n_cameras)
         if self.disruption is not None:
             d = self.disruption
-            d.validate()
             if d.n_cameras != self.n_cameras or d.n_servers != self.n_servers:
                 raise ConfigError(
                     "disruption camera/server counts must match the experiment "
@@ -170,6 +103,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"disruption.n_frames ({d.n_frames}) is shorter than n_frames ({self.n_frames})"
                 )
+        # The engine's latencies at n_cameras views must be finite. A replayed
+        # network latency is not known here; its loader keeps each cell finite.
+        network = 0.0 if self.traces_dir is not None else self.resolved_disruption().peak_latency_ms
+        recon = latency.recon_base_ms + latency.recon_per_image_ms * self.n_cameras
+        worst = latency.per_image_tx_ms * self.n_cameras + network + recon * max(speeds or (1.0,))
+        if not math.isfinite(worst):
+            raise ConfigError(
+                "latency.per_image_tx_ms, latency.recon_base_ms, latency.recon_per_image_ms and "
+                f"latency.server_speed_factor give a non-finite latency at n_cameras={self.n_cameras}")
 
     def resolved_disruption(self) -> DisruptionParams:
         """Disruption parameters sized and seeded from this config when not given explicitly.
@@ -202,101 +144,18 @@ class ExperimentConfig:
         return default_server_agent_params(self.server_policy)
 
 
-def _take(section: dict, allowed: set[str], context: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-
-
-def _as_mapping(value, context: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context} section must be a mapping, got {type(value).__name__}")
-    return dict(value)
-
-
-def _as_tuple(value, name: str) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return tuple(value)
-
-
-def _dataclass_from(section, cls, context: str):
-    section = _as_mapping(section, context)
-    names = {f.name for f in fields(cls)}
-    _take(section, names, context)
-    try:
-        return cls(**section)
-    except TypeError as exc:
-        raise ConfigError(f"bad {context} section: {exc}") from exc
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a parsed YAML/JSON mapping."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
     raw = dict(raw)
-    allowed = {f.name for f in fields(ExperimentConfig)}
-    _take(raw, allowed, "config")
-
-    kwargs: dict = {}
-    for key in ("n_frames", "n_cameras", "n_servers", "k_min", "k_max", "seed",
-                "camera_policy", "server_policy", "feedback_delay_frames",
-                "bandit_epsilon", "ewma_beta", "traces_dir"):
-        if key in raw:
-            kwargs[key] = raw[key]
-
-    if "thresholds" in raw:
-        kwargs["thresholds"] = _dataclass_from(raw["thresholds"], Thresholds, "thresholds")
-    if "weights" in raw:
-        kwargs["weights"] = _dataclass_from(raw["weights"], RewardWeights, "weights")
-    for key in ("camera_agent", "server_agent"):
-        if key in raw and raw[key] is not None:
-            kwargs[key] = _dataclass_from(raw[key], AgentParams, key)
-    if "disruption" in raw and raw["disruption"] is not None:
-        section = _as_mapping(raw["disruption"], "disruption")
-        for banned in ("n_frames", "n_cameras", "n_servers", "seed"):
-            if banned in section:
-                raise ConfigError(
-                    f"disruption.{banned} is derived from the top-level config; remove it"
-                )
-        if "correlation_groups" in section:
-            name = "disruption.correlation_groups"
-            section["correlation_groups"] = tuple(
-                _as_tuple(g, f"{name} entry") for g in _as_tuple(section["correlation_groups"], name))
-        if "spike_range_ms" in section:
-            section["spike_range_ms"] = _as_tuple(section["spike_range_ms"], "disruption.spike_range_ms")
-        if "spike_servers" in section and section["spike_servers"] is not None:
-            section["spike_servers"] = _as_tuple(section["spike_servers"], "disruption.spike_servers")
-        names = {f.name for f in fields(DisruptionParams)} - {"n_frames", "n_cameras", "n_servers", "seed"}
-        _take(section, names, "disruption")
-        kwargs["disruption_section"] = section
-    if "quality" in raw:
-        section = _as_mapping(raw["quality"], "quality")
-        if "camera_weights" in section and section["camera_weights"] is not None:
-            section["camera_weights"] = _as_tuple(section["camera_weights"], "quality.camera_weights")
-        kwargs["quality"] = _dataclass_from(section, QualitySpec, "quality")
-    if "latency" in raw:
-        section = _as_mapping(raw["latency"], "latency")
-        if "server_speed_factor" in section and section["server_speed_factor"] is not None:
-            section["server_speed_factor"] = _as_tuple(section["server_speed_factor"],
-                                                       "latency.server_speed_factor")
-        kwargs["latency"] = _dataclass_from(section, LatencyModel, "latency")
-
-    disruption_section = kwargs.pop("disruption_section", None)
-    try:
-        config = ExperimentConfig(**kwargs)
-        if disruption_section is not None:
-            config.disruption = DisruptionParams(
-                n_frames=config.n_frames,
-                n_cameras=config.n_cameras,
-                n_servers=config.n_servers,
-                seed=config.seed,
-                **disruption_section,
-            )
-        config.validate()
-    except TypeError as exc:
-        # Wrongly typed values surface as comparison/construction TypeErrors.
-        raise ConfigError(str(exc)) from exc
+    disruption = raw.pop("disruption", None)
+    config = load_section(ExperimentConfig, raw, "")
+    if disruption is not None:
+        config.disruption = load_section(
+            DisruptionParams, disruption, "disruption", n_frames=config.n_frames,
+            n_cameras=config.n_cameras, n_servers=config.n_servers, seed=config.seed)
+    config.validate()
     return config
 
 

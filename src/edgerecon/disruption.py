@@ -11,6 +11,7 @@ server per event, keeping servers statistically independent of each other.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -20,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import read_csv_rows, write_csv_rows
-from .errors import ConfigError, TraceFormatError, TraceSchemaError, require_count, require_finite
+from .errors import (ConfigError, Integer, ListOf, Optional, Real, TraceFormatError, TraceSchemaError,
+                     check_fields, setting)
 
 DEFAULT_CORRELATION_GROUPS = ((0, 1), (2, 4), (3,))
 
@@ -92,88 +94,46 @@ class ServerLatencyTrace:
 
 @dataclass(frozen=True)
 class DisruptionParams:
-    n_frames: int = 4000
-    n_cameras: int = 5
-    n_servers: int = 4
-    correlation_groups: tuple[tuple[int, ...], ...] = DEFAULT_CORRELATION_GROUPS
-    n_bump_events: int = 10
-    mean_bump_len: int = 50
-    disruption_threshold: float = 0.6
-    baseline_failure_prob: float = 0.05
-    bump_failure_prob: float = 0.9
-    server_baseline_ms: float = 150.0
-    server_jitter_ms: float = 10.0
-    n_spike_events: int = 10
-    spike_range_ms: tuple[float, float] = (400.0, 1200.0)
-    mean_spike_len: int = 50
-    spike_servers: tuple[int, ...] | None = None   # None = any server may spike
-    seed: int = 0
+    n_frames: int = setting(Integer("[1, inf)"), 4000)
+    n_cameras: int = setting(Integer("[1, inf)"), 5)
+    n_servers: int = setting(Integer("[1, inf)"), 4)
+    correlation_groups: tuple[tuple[int, ...], ...] = setting(
+        ListOf(ListOf(Integer("[0, n_cameras)"))), DEFAULT_CORRELATION_GROUPS)
+    n_bump_events: int = setting(Integer("[0, inf)"), 10)
+    # Event lengths are drawn as numpy int64 from a geometric law of this mean.
+    mean_bump_len: int = setting(Integer(f"[1, {2**63})"), 50)
+    disruption_threshold: float = setting(Real("(0, 1)"), 0.6)
+    baseline_failure_prob: float = setting(Real("[0, 1]"), 0.05)
+    bump_failure_prob: float = setting(Real("[0, 1]"), 0.9)
+    server_baseline_ms: float = setting(Real("[0, inf)"), 150.0)
+    server_jitter_ms: float = setting(Real("[0, server_baseline_ms]"), 10.0)
+    n_spike_events: int = setting(Integer("[0, inf)"), 10)
+    spike_range_ms: tuple[float, float] = setting(ListOf(Real("[0, inf)"), length=2), (400.0, 1200.0))
+    mean_spike_len: int = setting(Integer(f"[1, {2**63})"), 50)
+    spike_servers: tuple[int, ...] | None = setting(   # None = any server may spike
+        Optional(ListOf(Integer("[0, n_servers)"))), None)
+    seed: int = setting(Integer("[0, inf)"), 0)
 
-    def validate(self) -> None:
-        for name in ("n_frames", "n_cameras", "n_servers", "n_bump_events", "mean_bump_len",
-                     "n_spike_events", "mean_spike_len", "seed"):
-            require_count(f"disruption.{name}", getattr(self, name))
-        for name in ("disruption_threshold", "baseline_failure_prob", "bump_failure_prob",
-                     "server_baseline_ms", "server_jitter_ms"):
-            require_finite(f"disruption.{name}", getattr(self, name))
-        if len(self.spike_range_ms) != 2:
-            raise ConfigError(f"disruption.spike_range_ms must hold two bounds, "
-                              f"got {self.spike_range_ms!r}")
-        for bound in self.spike_range_ms:
-            require_finite("disruption.spike_range_ms", bound)
-        for name in ("n_frames", "n_cameras", "n_servers", "mean_bump_len", "mean_spike_len"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("n_bump_events", "n_spike_events"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 < self.disruption_threshold < 1.0:
-            raise ConfigError(
-                f"disruption_threshold must lie in (0, 1), got {self.disruption_threshold}"
-            )
-        if not 0.0 <= self.baseline_failure_prob <= 1.0:
-            raise ConfigError(f"baseline_failure_prob out of [0, 1]: {self.baseline_failure_prob}")
-        if not 0.0 <= self.bump_failure_prob <= 1.0:
-            raise ConfigError(f"bump_failure_prob out of [0, 1]: {self.bump_failure_prob}")
-        if not self.correlation_groups:
-            raise ConfigError("correlation_groups must not be empty")
-        seen: set[int] = set()
-        for group in self.correlation_groups:
-            if not group:
-                raise ConfigError("correlation_groups entries must not be empty")
-            for cam in group:
-                require_count("disruption.correlation_groups entry", cam)
-                if not 0 <= cam < self.n_cameras:
-                    raise ConfigError(
-                        f"correlation_groups references camera {cam}, "
-                        f"valid range is 0..{self.n_cameras - 1}"
-                    )
-                if cam in seen:
-                    raise ConfigError(f"correlation_groups lists camera {cam} twice")
-                seen.add(cam)
-        if self.server_baseline_ms < 0:
-            raise ConfigError(f"server_baseline_ms must be >= 0, got {self.server_baseline_ms}")
-        if self.server_jitter_ms < 0:
-            raise ConfigError(f"server_jitter_ms must be >= 0, got {self.server_jitter_ms}")
-        if self.server_jitter_ms > self.server_baseline_ms:
-            raise ConfigError(
-                "server_jitter_ms must not exceed server_baseline_ms "
-                f"({self.server_jitter_ms} > {self.server_baseline_ms})"
-            )
+    @property
+    def peak_latency_ms(self) -> float:
+        """The largest latency generate_server_trace can write; >= the jitter draw's width."""
+        return self.server_baseline_ms + self.server_jitter_ms + self.spike_range_ms[1]
+
+    def validate(self, section: str = "disruption") -> None:
+        check_fields(self, section)
+        cameras = [cam for group in self.correlation_groups for cam in group]
+        if len(set(cameras)) < len(cameras):
+            twice = next(cam for cam in cameras if cameras.count(cam) > 1)
+            raise ConfigError(f"{section}.correlation_groups lists camera {twice} twice")
         lo, hi = self.spike_range_ms
-        if not 0 <= lo < hi:
-            raise ConfigError(f"spike_range_ms lower bound must be < upper bound, got ({lo}, {hi})")
-        if self.spike_servers is not None:
-            if not self.spike_servers:
-                raise ConfigError("spike_servers must not be an empty list")
-            for srv in self.spike_servers:
-                require_count("disruption.spike_servers entry", srv)
-                if not 0 <= srv < self.n_servers:
-                    raise ConfigError(
-                        f"spike_servers references server {srv}, valid range is 0..{self.n_servers - 1}"
-                    )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not lo < hi:
+            raise ConfigError(f"{section}.spike_range_ms lower bound must be < upper bound, "
+                              f"got ({lo}, {hi})")
+        peak = self.peak_latency_ms
+        if not math.isfinite(peak):
+            raise ConfigError(
+                f"{section}.server_baseline_ms + {section}.server_jitter_ms + "
+                f"{section}.spike_range_ms[1] must be finite, got {peak}")
 
 
 def _place_events(rng, n_events: int, n_frames: int, mean_len: int, n_targets: int, what: str):

@@ -16,7 +16,8 @@ from itertools import count, islice
 import numpy as np
 
 from .csvio import read_csv_rows, write_csv_rows
-from .errors import ConfigError, TraceFormatError, TraceSchemaError, require_finite
+from .errors import (PATH, ConfigError, ListOf, OneOf, Optional, Real, Table, TraceFormatError,
+                     TraceSchemaError, check_fields, setting)
 from .masks import Mask, bitstring, mask_from_str, mask_to_int, mask_to_str, require_camera_cap
 from .metrics import FrameOutcome, Thresholds, reliability
 
@@ -29,24 +30,44 @@ DEFAULT_QUALITY_CURVE = 2.6
 DEFAULT_QUALITY_MIDPOINT = 1.72
 
 
-def _synthetic_weights(n_cameras: int, camera_weights, ceiling: float, curve: float) -> list:
-    """The camera weights of a synthetic table, checked along with its curve."""
-    if camera_weights is None:
-        if n_cameras > len(DEFAULT_CAMERA_WEIGHTS):
+@dataclass
+class QualitySpec:
+    """How per-frame quality is produced: synthetic table + noise, or a replayed trace."""
+
+    mode: str = setting(OneOf(("synthetic", "trace")), "synthetic")
+    noise_sd: float = setting(Real("[0, inf)"), 30.0)
+    camera_weights: tuple[float, ...] | None = setting(Optional(ListOf(Real("[0, inf)"))), None)
+    ceiling: float = setting(Real("(0, inf)"), DEFAULT_QUALITY_CEILING)
+    curve: float = setting(Real("(0, inf)"), DEFAULT_QUALITY_CURVE)
+    midpoint: float = setting(Real(), DEFAULT_QUALITY_MIDPOINT)
+    # Explicit bitstring -> base quality override of the synthetic curve.
+    table: dict[str, float] | None = setting(Optional(Table(Real("[0, inf)"))), None)
+    trace_path: str | None = setting(Optional(PATH), None)
+
+    def validate(self, section: str = "quality") -> None:
+        check_fields(self, section)
+        if self.mode == "trace" and not self.trace_path:
+            raise ConfigError(f"{section}.trace_path is required when {section}.mode is 'trace'")
+        # numpy's normal draws lie within 14 standard deviations (its ziggurat
+        # tail takes the log of a 53-bit uniform), so noisy quality stays finite.
+        peak = max(self.table.values()) if self.table else self.ceiling
+        if not math.isfinite(peak + 16 * self.noise_sd):
+            raise ConfigError(f"{section}.noise_sd is too large: the largest base quality plus "
+                              f"16 * noise_sd must be finite, got {self.noise_sd}")
+
+    def synthetic_weights(self, n_cameras: int) -> tuple:
+        """The camera weights the synthetic curve uses: one per camera, by default up to 5 cameras."""
+        weights = self.camera_weights
+        if weights is None:
+            if n_cameras > len(DEFAULT_CAMERA_WEIGHTS):
+                raise ConfigError(
+                    f"quality.camera_weights is required for n_cameras={n_cameras} (the "
+                    f"defaults cover up to {len(DEFAULT_CAMERA_WEIGHTS)})")
+            return DEFAULT_CAMERA_WEIGHTS[:n_cameras]
+        if len(weights) != n_cameras:
             raise ConfigError(
-                f"camera_weights required for n_cameras={n_cameras} (defaults cover up to "
-                f"{len(DEFAULT_CAMERA_WEIGHTS)})"
-            )
-        camera_weights = DEFAULT_CAMERA_WEIGHTS[:n_cameras]
-    if len(camera_weights) != n_cameras:
-        raise ConfigError(
-            f"camera_weights has {len(camera_weights)} entries, expected {n_cameras}"
-        )
-    if any(w < 0 for w in camera_weights):
-        raise ConfigError("camera_weights must be nonnegative")
-    if ceiling <= 0 or curve <= 0:
-        raise ConfigError("quality ceiling and curve must be > 0")
-    return list(camera_weights)
+                f"quality.camera_weights has {len(weights)} entries, expected n_cameras={n_cameras}")
+        return weights
 
 
 def _synthetic_dense(n_cameras: int, camera_weights, ceiling: float, curve: float,
@@ -62,8 +83,14 @@ def _synthetic_dense(n_cameras: int, camera_weights, ceiling: float, curve: floa
     Each mask's weight sum extends the sum of the mask without its last
     camera (its lowest set bit), so the members are added in camera order,
     as ``sum`` over the members would add them.
+
+    Where exp(x) overflows (x > ~709.78), 1 + exp(x) rounds to exp(x), so
+    the logistic is its limit ceiling * exp(-x), which underflows to 0.0
+    unless the ceiling is huge.
     """
-    weights = _synthetic_weights(n_cameras, camera_weights, ceiling, curve)
+    spec = QualitySpec(camera_weights=camera_weights, ceiling=ceiling, curve=curve, midpoint=midpoint)
+    spec.validate()
+    weights = spec.synthetic_weights(n_cameras)
     size = 1 << n_cameras
     sums = [0] * size
     dense = [math.nan] * size
@@ -71,7 +98,10 @@ def _synthetic_dense(n_cameras: int, camera_weights, ceiling: float, curve: floa
         low = mask & -mask
         s = sums[mask] = sums[mask ^ low] + weights[n_cameras - low.bit_length()]
         if mask.bit_count() >= MIN_VIEWS:
-            dense[mask] = ceiling / (1.0 + math.exp(-curve * (s - midpoint)))
+            try:
+                dense[mask] = ceiling / (1.0 + math.exp(-curve * (s - midpoint)))
+            except OverflowError:
+                dense[mask] = ceiling * math.exp(curve * (s - midpoint))
     return np.array(dense)
 
 
@@ -106,9 +136,7 @@ class QualityModel:
     """
 
     def __init__(self, table, noise_sd: float = 0.0):
-        require_finite("noise_sd", noise_sd)
-        if noise_sd < 0:
-            raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
+        QualitySpec(noise_sd=noise_sd).validate()
         self.table = table = np.asarray(table, dtype=float)
         self.noise_sd = noise_sd
         width = table.shape[-1]
@@ -151,20 +179,16 @@ class QualityModel:
 class LatencyModel:
     """Affine transmission/reconstruction latency coefficients (milliseconds)."""
 
-    per_image_tx_ms: float = 350.0
-    recon_base_ms: float = 400.0
-    recon_per_image_ms: float = 120.0
-    server_speed_factor: tuple[float, ...] | None = None   # None = 1.0 for every server
+    per_image_tx_ms: float = setting(Real("[0, inf)"), 350.0)
+    recon_base_ms: float = setting(Real("[0, inf)"), 400.0)
+    recon_per_image_ms: float = setting(Real("[0, inf)"), 120.0)
+    server_speed_factor: tuple[float, ...] | None = setting(   # None = 1.0 for every server
+        Optional(ListOf(Real("[0, inf)"))), None)
 
-    def __post_init__(self):
-        for factor in self.server_speed_factor or ():
-            require_finite("latency.server_speed_factor", factor)
-        for name in ("per_image_tx_ms", "recon_base_ms", "recon_per_image_ms"):
-            require_finite(f"latency.{name}", getattr(self, name))
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.server_speed_factor is not None and any(f < 0 for f in self.server_speed_factor):
-            raise ConfigError("server_speed_factor entries must be >= 0")
+    def validate(self, section: str = "latency") -> None:
+        check_fields(self, section)
+
+    __post_init__ = validate
 
     def speed(self, server: int) -> float:
         if self.server_speed_factor is None:

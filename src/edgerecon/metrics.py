@@ -21,7 +21,7 @@ from functools import reduce
 from pathlib import Path
 
 from .csvio import write_csv_rows
-from .errors import ConfigError, TraceFormatError, require_finite
+from .errors import ConfigError, Real, TraceFormatError, check_fields, setting
 from .masks import Mask, bitstring, mask_from_int, mask_to_str
 
 
@@ -29,39 +29,29 @@ from .masks import Mask, bitstring, mask_from_int, mask_to_str
 class Thresholds:
     """Reliability bounds: quality floor plus total and reconstruction latency budgets."""
 
-    theta: float = 400.0
-    phi_total_s: float = 3.0
-    phi_recon_s: float = 1.0
+    theta: float = setting(Real("(0, inf)"), 400.0)
+    phi_total_s: float = setting(Real("(0, inf)"), 3.0)
+    phi_recon_s: float = setting(Real("(0, phi_total_s]"), 1.0)
 
-    def __post_init__(self):
-        for name in ("theta", "phi_total_s", "phi_recon_s"):
-            require_finite(f"thresholds.{name}", getattr(self, name))
-        if self.theta <= 0:
-            raise ConfigError(f"theta must be > 0, got {self.theta}")
-        if self.phi_total_s <= 0:
-            raise ConfigError(f"phi_total_s must be > 0, got {self.phi_total_s}")
-        if self.phi_recon_s <= 0:
-            raise ConfigError(f"phi_recon_s must be > 0, got {self.phi_recon_s}")
-        if self.phi_recon_s > self.phi_total_s:
-            raise ConfigError(
-                f"phi_recon_s ({self.phi_recon_s}) must not exceed phi_total_s ({self.phi_total_s})"
-            )
+    def validate(self, section: str = "thresholds") -> None:
+        check_fields(self, section)
+
+    __post_init__ = validate
 
 
 @dataclass(frozen=True)
 class RewardWeights:
     """Mixing weights for the camera agent's quality and latency scores."""
 
-    w1: float = 0.5
-    w2: float = 0.5
+    w1: float = setting(Real("[0, 1]"), 0.5)
+    w2: float = setting(Real("[0, 1]"), 0.5)
 
-    def __post_init__(self):
-        require_finite("weights.w1", self.w1)
-        require_finite("weights.w2", self.w2)
-        if not (0.0 <= self.w1 <= 1.0 and 0.0 <= self.w2 <= 1.0):
-            raise ConfigError(f"w1 and w2 must lie in [0, 1], got ({self.w1}, {self.w2})")
+    def validate(self, section: str = "weights") -> None:
+        check_fields(self, section)
         if abs(self.w1 + self.w2 - 1.0) > 1e-9:
-            raise ConfigError(f"w1 + w2 must equal 1, got {self.w1 + self.w2}")
+            raise ConfigError(f"{section}.w1 + {section}.w2 must equal 1, got {self.w1 + self.w2}")
+
+    __post_init__ = validate
 
 
 def quality_score(quality: float, threshold: float) -> float:

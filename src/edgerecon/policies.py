@@ -13,13 +13,13 @@ import json
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, require_bool, require_count, require_finite
+from .errors import FLAG, ConfigError, Integer, Real, check_fields, setting
 from .masks import MAX_CAMERAS, subsets
 
 
@@ -315,55 +315,25 @@ def _add_to_mean(means: np.ndarray, counts: list[int], best: int, index: int, sa
 class AgentParams:
     """Learning hyperparameters; the adaptive fields only apply when adaptive=True."""
 
-    alpha: float = 0.9
-    gamma: float = 0.1
-    epsilon: float = 0.1
-    adaptive: bool = False
-    eta_inc: float = 1.5
-    eta_dec: float = 0.995
-    lambda_inc: float = 1.5
-    lambda_dec: float = 0.995
-    eps_min: float = 0.05
-    eps_max: float = 1.0
-    alpha_min: float = 0.05
-    alpha_max: float = 0.9
-    degradation_window: int = 20
-    degradation_drop: float = 0.1
+    alpha: float = setting(Real("(0, 1]"), 0.9)
+    gamma: float = setting(Real("[0, 1)"), 0.1)
+    epsilon: float = setting(Real("[0, 1]"), 0.1)
+    adaptive: bool = setting(FLAG, False)
+    eta_inc: float = setting(Real("(1, inf)"), 1.5)
+    eta_dec: float = setting(Real("(0, 1)"), 0.995)
+    lambda_inc: float = setting(Real("(1, inf)"), 1.5)
+    lambda_dec: float = setting(Real("(0, 1)"), 0.995)
+    eps_min: float = setting(Real("[0, 1]"), 0.05)
+    eps_max: float = setting(Real("[eps_min, 1]"), 1.0)
+    alpha_min: float = setting(Real("(0, 1]"), 0.05)
+    alpha_max: float = setting(Real("[alpha_min, 1]"), 0.9)
+    # The reward history holds 2 * degradation_window values in a deque,
+    # whose length is a C ssize_t.
+    degradation_window: int = setting(Integer(f"[1, {2**62})"), 20)
+    degradation_drop: float = setting(Real("[0, inf)"), 0.1)
 
-    def validate(self) -> None:
-        for f in fields(self):
-            if f.name == "degradation_window":
-                require_count(f.name, self.degradation_window)
-            elif f.name == "adaptive":
-                require_bool(f.name, self.adaptive)
-            else:
-                require_finite(f.name, getattr(self, f.name))
-        if not 0 < self.alpha <= 1:
-            raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0 <= self.gamma < 1:
-            raise ConfigError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if not 0 <= self.epsilon <= 1:
-            raise ConfigError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.eta_inc <= 1:
-            raise ConfigError(f"eta_inc must be > 1, got {self.eta_inc}")
-        if not 0 < self.eta_dec < 1:
-            raise ConfigError(f"eta_dec must lie in (0, 1), got {self.eta_dec}")
-        if self.lambda_inc <= 1:
-            raise ConfigError(f"lambda_inc must be > 1, got {self.lambda_inc}")
-        if not 0 < self.lambda_dec < 1:
-            raise ConfigError(f"lambda_dec must lie in (0, 1), got {self.lambda_dec}")
-        if not 0 <= self.eps_min <= self.eps_max <= 1:
-            raise ConfigError(
-                f"need 0 <= eps_min <= eps_max <= 1, got ({self.eps_min}, {self.eps_max})"
-            )
-        if not 0 < self.alpha_min <= self.alpha_max <= 1:
-            raise ConfigError(
-                f"need 0 < alpha_min <= alpha_max <= 1, got ({self.alpha_min}, {self.alpha_max})"
-            )
-        if self.degradation_window < 1:
-            raise ConfigError(f"degradation_window must be >= 1, got {self.degradation_window}")
-        if self.degradation_drop < 0:
-            raise ConfigError(f"degradation_drop must be >= 0, got {self.degradation_drop}")
+    def validate(self, section: str = "agent") -> None:
+        check_fields(self, section)
 
 
 def detect_degradation(rewards, window: int, drop: float) -> bool:

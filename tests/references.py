@@ -10,7 +10,7 @@ import math
 from itertools import compress, product
 
 from edgerecon.environment import (DEFAULT_QUALITY_CEILING, DEFAULT_QUALITY_CURVE,
-                                   DEFAULT_QUALITY_MIDPOINT, MIN_VIEWS, _synthetic_weights)
+                                   DEFAULT_QUALITY_MIDPOINT, MIN_VIEWS, QualitySpec)
 
 
 def tuple_subsets(n_cameras: int, k_min: int, k_max: int) -> list[tuple[int, ...]]:
@@ -23,7 +23,9 @@ def synthetic_quality_table(n_cameras: int, camera_weights=None,
                             curve: float = DEFAULT_QUALITY_CURVE,
                             midpoint: float = DEFAULT_QUALITY_MIDPOINT) -> dict:
     """The synthetic base-quality table, one entry per tuple mask of MIN_VIEWS or more cameras."""
-    camera_weights = _synthetic_weights(n_cameras, camera_weights, ceiling, curve)
+    spec = QualitySpec(camera_weights=camera_weights, ceiling=ceiling, curve=curve, midpoint=midpoint)
+    spec.validate()
+    camera_weights = spec.synthetic_weights(n_cameras)
     table = {}
     for mask in tuple_subsets(n_cameras, MIN_VIEWS, n_cameras):
         s = sum(compress(camera_weights, mask))

@@ -80,8 +80,8 @@ class TestRun:
     @pytest.mark.parametrize("text, field", [
         ("quality:\n  mode: trace\n  trace_path: 7\n", "quality.trace_path"),
         ("traces_dir: 5\n", "traces_dir"),
-        ("camera_agent:\n  adaptive: \"no\"\n", "camera_agent: adaptive"),
-        ("server_agent:\n  adaptive: 1\n", "server_agent: adaptive"),
+        ("camera_agent:\n  adaptive: \"no\"\n", "camera_agent.adaptive"),
+        ("server_agent:\n  adaptive: 1\n", "server_agent.adaptive"),
     ], ids=["fd-trace-path", "int-traces-dir", "string-adaptive", "int-adaptive"])
     def test_mistyped_path_or_flag_exits_config_error(self, tmp_path, capsys, text, field):
         # An int path would open an inherited file descriptor, and the string
@@ -115,6 +115,51 @@ class TestRun:
         assert field in err
         assert "not supported" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, field", [
+        ("quality:\n  camera_weights: [1.0, 2.0]\n", "quality.camera_weights"),
+        ("quality:\n  camera_weights: [1.0, 1.0, 1.0, 1.0, -1.0]\n", "quality.camera_weights"),
+        ("n_cameras: 6\nk_max: 3\n", "quality.camera_weights"),
+        ("quality:\n  ceiling: -5\n", "quality.ceiling"),
+        ("quality:\n  curve: 0\n", "quality.curve"),
+        ("quality:\n  table: [1, 2]\n", "quality.table"),
+        ("quality:\n  table: abc\n", "quality.table"),
+        ("n_cameras: 2\nk_max: 2\ndisruption:\n  correlation_groups: [[0, 1]]\n"
+         "quality:\n  table: {\"11\": -1.0}\n", "quality.table"),
+        ("quality:\n  noise_sd: 1.0e+308\n", "quality.noise_sd"),
+        ("disruption:\n  server_baseline_ms: 1.0e+308\n  server_jitter_ms: 1.0e+308\n",
+         "disruption.server_jitter_ms"),
+        ("disruption:\n  server_baseline_ms: 1.0e+308\n  spike_range_ms: [0.0, 1.7e+308]\n",
+         "disruption.spike_range_ms"),
+        ("disruption:\n  spike_range_ms: [100.0, .inf]\n", "disruption.spike_range_ms"),
+        ("disruption:\n  mean_bump_len: 1" + "0" * 400 + "\n", "disruption.mean_bump_len"),
+        ("latency:\n  per_image_tx_ms: 1.0e+308\n", "latency.per_image_tx_ms"),
+        ("latency:\n  recon_base_ms: 1.0e+308\n  recon_per_image_ms: 1.0e+308\n"
+         "  server_speed_factor: [0, 1, 1, 1]\n", "latency.recon_per_image_ms"),
+        ("camera_agent:\n  degradation_window: 1" + "0" * 400 + "\n",
+         "camera_agent.degradation_window"),
+        ("bandit_epsilon: 1" + "0" * 400 + "\n", "bandit_epsilon"),
+    ], ids=["weights-length", "negative-weight", "weights-missing", "ceiling", "curve",
+            "list-table", "string-table", "negative-table", "huge-noise", "huge-jitter",
+            "huge-spike", "infinite-spike", "huge-bump-len", "huge-tx", "huge-recon",
+            "huge-window", "huge-int-real"])
+    def test_bad_value_exits_config_error_before_out_exists(self, tmp_path, capsys, text, field):
+        # Each of these used to reach the quality model or trace generation
+        # (exit 2 or 4 after --out was made, or a trace with inf written).
+        config = write_config(tmp_path, "n_frames: 20\nseed: 1\n" + text)
+        for command in ("gen-traces", "run"):
+            assert run_cli(command, "--config", str(config), "--out", str(tmp_path / "out")) \
+                == EXIT_CONFIG_ERROR
+            assert field in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_overflowing_quality_curve_takes_its_limit(self, tmp_path):
+        # 2.6 * (1.6 - 400) is far below -709: exp overflows in the logistic,
+        # whose limit there is 0.0.
+        config = write_config(tmp_path, SMALL_CONFIG + "quality:\n  midpoint: 400\n")
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == EXIT_OK
+        rows = read_frame_log(tmp_path / "out" / "frames.csv")
+        assert max(float(row["quality"]) for row in rows) < 400
 
     def test_too_many_cameras_exits_config_error_at_once(self, tmp_path, capsys):
         # 30 cameras would mean tables over 2**30 masks; the cap stops the

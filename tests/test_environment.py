@@ -84,6 +84,17 @@ class TestSyntheticTable:
                 grown = tuple(1 if i == cam else b for i, b in enumerate(mask))
                 assert table[grown] >= base
 
+    def test_overflowing_exponent_takes_the_logistic_limit(self):
+        # Every subset's exponent 2.6 * (400 - s) overflows exp; the limit is 0.0.
+        table = QualityModel.synthetic(5, midpoint=400.0).table
+        assert set(table[~np.isnan(table)]) == {0.0}
+        # A steep curve is a step at the midpoint: pairs (weights ~1.6) sit
+        # below 1.72 and take the limit, larger subsets reach the ceiling.
+        table = QualityModel.synthetic(5, curve=1e308).table
+        for mask, value in enumerate(table):
+            if mask.bit_count() >= 2:
+                assert value == (0.0 if mask.bit_count() == 2 else 660.0)
+
     def test_non_monotone_explicit_table_rejected(self):
         bad = table3()
         bad[(1, 1, 1)] = 100.0   # smaller than its subsets
