@@ -96,9 +96,6 @@ def cmd_gen_traces(args) -> int:
 
 def cmd_run(args) -> int:
     config = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     space = enumerate_actions(config.n_cameras, config.k_min, config.k_max)
     camera_policy = build_camera_policy(config, space)
     server_policy = build_server_policy(config)
@@ -108,6 +105,9 @@ def cmd_run(args) -> int:
         camera_policy=camera_policy, server_policy=server_policy,
     )
 
+    # --out is made only once every input is accepted and the episode has run.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_frame_log(log, out / FRAME_LOG_FILE)
     write_summary(stats, out / SUMMARY_FILE)
     _snapshot_qtable(camera_policy, out / CAMERA_QTABLE_FILE)

@@ -104,14 +104,19 @@ class ExperimentConfig:
                     f"disruption.n_frames ({d.n_frames}) is shorter than n_frames ({self.n_frames})"
                 )
         # The engine's latencies at n_cameras views must be finite. A replayed
-        # network latency is not known here; its loader keeps each cell finite.
+        # network latency is not known here; build_traces checks it on loading.
         network = 0.0 if self.traces_dir is not None else self.resolved_disruption().peak_latency_ms
-        recon = latency.recon_base_ms + latency.recon_per_image_ms * self.n_cameras
-        worst = latency.per_image_tx_ms * self.n_cameras + network + recon * max(speeds or (1.0,))
-        if not math.isfinite(worst):
+        if not math.isfinite(self.worst_latency_ms(network)):
             raise ConfigError(
                 "latency.per_image_tx_ms, latency.recon_base_ms, latency.recon_per_image_ms and "
                 f"latency.server_speed_factor give a non-finite latency at n_cameras={self.n_cameras}")
+
+    def worst_latency_ms(self, network_ms: float) -> float:
+        """The largest total latency, in ms, of a frame whose network latency is at most network_ms."""
+        latency = self.latency
+        recon = latency.recon_base_ms + latency.recon_per_image_ms * self.n_cameras
+        speed = max(latency.server_speed_factor or (1.0,))
+        return latency.per_image_tx_ms * self.n_cameras + network_ms + recon * speed
 
     def resolved_disruption(self) -> DisruptionParams:
         """Disruption parameters sized and seeded from this config when not given explicitly.

@@ -18,15 +18,17 @@ tests compare the engine against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .disruption import (CameraTrace, ServerLatencyTrace, generate_camera_trace,
+from .disruption import (SERVERS_FILE, CameraTrace, ServerLatencyTrace, generate_camera_trace,
                          generate_server_trace, load_traces)
 from .environment import MIN_VIEWS, QualityModel, load_quality_trace
-from .errors import ConfigError
+from .errors import ConfigError, TraceFormatError
 from .masks import bitstring, mask_from_str
 from .metrics import FrameLog, RunStats
 from .policies import (BanditCameraPolicy, DrawStream, GreedyTripletCameraPolicy,
@@ -75,9 +77,17 @@ def build_traces(config: ExperimentConfig) -> tuple[CameraTrace, ServerLatencyTr
     """Generate (or load) the disruption traces for this config.
 
     Pure in (config, seed): swapping policies never changes what comes back.
+    A replayed server latency so large that a frame's total latency
+    overflows raises TraceFormatError naming servers.csv.
     """
     if config.traces_dir is not None:
-        return load_traces(config.traces_dir)
+        camera, server = load_traces(config.traces_dir)
+        network = float(server.latency_ms[:config.n_frames].max(initial=0.0))
+        if not math.isfinite(config.worst_latency_ms(network)):
+            raise TraceFormatError(
+                f"{Path(config.traces_dir) / SERVERS_FILE}: a latency of {network!r} ms makes "
+                f"the total latency at n_cameras={config.n_cameras} overflow")
+        return camera, server
     params = config.resolved_disruption()
     return generate_camera_trace(params), generate_server_trace(params)
 

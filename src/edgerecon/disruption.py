@@ -10,12 +10,12 @@ server per event, keeping servers statistically independent of each other.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +97,8 @@ class DisruptionParams:
     n_frames: int = setting(Integer("[1, inf)"), 4000)
     n_cameras: int = setting(Integer("[1, inf)"), 5)
     n_servers: int = setting(Integer("[1, inf)"), 4)
-    correlation_groups: tuple[tuple[int, ...], ...] = setting(
-        ListOf(ListOf(Integer("[0, n_cameras)"))), DEFAULT_CORRELATION_GROUPS)
+    correlation_groups: tuple[tuple[int, ...], ...] | None = setting(   # None = the default groups
+        Optional(ListOf(ListOf(Integer("[0, n_cameras)")))), None)
     n_bump_events: int = setting(Integer("[0, inf)"), 10)
     # Event lengths are drawn as numpy int64 from a geometric law of this mean.
     mean_bump_len: int = setting(Integer(f"[1, {2**63})"), 50)
@@ -115,13 +115,27 @@ class DisruptionParams:
     seed: int = setting(Integer("[0, inf)"), 0)
 
     @property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """The correlation groups as given, else the default ones.
+
+        The default is DEFAULT_CORRELATION_GROUPS without the cameras a rig
+        of n_cameras lacks and without the groups that leaves empty; from 5
+        cameras on it is DEFAULT_CORRELATION_GROUPS itself.
+        """
+        if self.correlation_groups is not None:
+            return self.correlation_groups
+        groups = (tuple(cam for cam in group if cam < self.n_cameras)
+                  for group in DEFAULT_CORRELATION_GROUPS)
+        return tuple(group for group in groups if group)
+
+    @property
     def peak_latency_ms(self) -> float:
         """The largest latency generate_server_trace can write; >= the jitter draw's width."""
         return self.server_baseline_ms + self.server_jitter_ms + self.spike_range_ms[1]
 
     def validate(self, section: str = "disruption") -> None:
         check_fields(self, section)
-        cameras = [cam for group in self.correlation_groups for cam in group]
+        cameras = [cam for group in self.groups for cam in group]
         if len(set(cameras)) < len(cameras):
             twice = next(cam for cam in cameras if cameras.count(cam) > 1)
             raise ConfigError(f"{section}.correlation_groups lists camera {twice} twice")
@@ -168,7 +182,7 @@ def generate_camera_trace(params: DisruptionParams) -> CameraTrace:
     """Build the binary availability matrix plus the bump-event log."""
     params.validate()
     rng = np.random.default_rng([params.seed, _CAMERA_STREAM])
-    groups = [tuple(g) for g in params.correlation_groups]
+    groups = [tuple(g) for g in params.groups]
     prob = np.full((params.n_frames, params.n_cameras), params.baseline_failure_prob)
     events = []
     for start, length, gi in _place_events(
@@ -233,58 +247,18 @@ def save_traces(camera: CameraTrace, server: ServerLatencyTrace, out_dir) -> tup
     return cam_path, srv_path
 
 
-# Trace rows are converted and checked this many at a time, so neither a
-# whole matrix as Python lists nor a whole file as strings is ever held.
-_BLOCK_ROWS = 1024
-
-_BIT_CELLS = frozenset(("0", "1"))
+_LF, _CR = ord("\n"), ord("\r")
 
 
-def _numbered(matrix: np.ndarray):
-    """Each row of the matrix as a tuple of Python numbers led by its frame index."""
-    for first in range(0, len(matrix), _BLOCK_ROWS):
-        for frame, row in enumerate(matrix[first:first + _BLOCK_ROWS].tolist(), first):
+def _numbered(matrix: np.ndarray, block: int = 1024):
+    """Each row of the matrix as a tuple of Python numbers led by its frame index.
+
+    Rows are converted ``block`` at a time, so the whole matrix is never
+    held as Python numbers.
+    """
+    for first in range(0, len(matrix), block):
+        for frame, row in enumerate(matrix[first:first + block].tolist(), first):
             yield (frame, *row)
-
-
-def _parse_rows(path, width: int, rows: list[list[str]], parse_cell, first: int) -> list[list]:
-    """Check and parse data rows one cell at a time, raising at the first bad line.
-
-    ``rows`` starts at frame ``first``. This is the reference for the bulk
-    checks in ``_load_matrix``, which runs it on a block only when a bulk
-    check fails, so the error names the first bad line.
-    """
-    parsed = []
-    for lineno, row in enumerate(rows, start=2 + first):
-        if len(row) != width:
-            raise TraceSchemaError(
-                f"{path}: line {lineno} has {len(row)} columns, expected {width}"
-            )
-        try:
-            frame = int(row[0])
-        except ValueError as exc:
-            raise TraceFormatError(f"bad frame index {row[0]!r}", line=lineno) from exc
-        if frame != first + len(parsed):
-            raise TraceSchemaError(
-                f"{path}: frame index {frame} at line {lineno} does not match row position "
-                f"{first + len(parsed)}"
-            )
-        parsed.append([parse_cell(cell, lineno) for cell in row[1:]])
-    return parsed
-
-
-def _frames_in_order(rows: list[list[str]], width: int, first: int) -> bool:
-    """Bulk form of _parse_rows' structure checks.
-
-    True when every row is ``width`` cells wide and the frame column reads
-    first, first + 1, ... through ``int``.
-    """
-    if set(map(len, rows)) != {width}:
-        return False
-    try:
-        return list(map(int, map(itemgetter(0), rows))) == list(range(first, first + len(rows)))
-    except ValueError:
-        return False
 
 
 def _parse_bit(cell: str, lineno: int) -> int:
@@ -303,68 +277,136 @@ def _parse_latency(cell: str, lineno: int) -> float:
     return value
 
 
-def _bits(rows: list[list[str]], width: int) -> np.ndarray | None:
-    """Availability cells as uint8, checking each distinct row once; None if a cell is not 0/1."""
-    cells = list(map(tuple, map(itemgetter(slice(1, None)), rows)))
-    distinct = set(cells)
-    if not all(_BIT_CELLS.issuperset(row) for row in distinct):
-        return None
-    packed = {row: bytes(map(int, row)) for row in distinct}
-    data = bytearray().join(map(packed.__getitem__, cells))
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width - 1)
+def _read_matrix(path, expected_header, parse_cell, dtype) -> np.ndarray:
+    """The data rows of a trace CSV read with ``csv`` and checked one cell at a time.
 
-
-def _latencies(rows: list[list[str]], width: int) -> np.ndarray | None:
-    """Latency cells through ``float``; None unless all parse and are finite and >= 0."""
-    cells = chain.from_iterable(map(itemgetter(slice(1, None)), rows))
-    try:
-        values = np.fromiter(map(float, cells), dtype=float, count=len(rows) * (width - 1))
-    except ValueError:
-        return None
-    if not (np.isfinite(values).all() and (values >= 0).all()):
-        return None
-    return values.reshape(len(rows), width - 1)
-
-
-def _load_matrix(path, expected_header, convert, parse_cell, dtype) -> np.ndarray:
-    """The data rows of a trace CSV as one array, read and converted a block of rows at a time.
-
-    ``convert`` checks and converts a block in bulk and returns None when a
-    check fails; the row loop ``_parse_rows`` then rescans that block to find
-    and word the error. Both use the same ``int``/``float`` conversions, so
-    they accept and reject the same inputs.
+    This is the reference for ``_bulk_matrix``, and reads every file that
+    the bulk parse does not accept; it raises at the first bad line.
     """
     with closing(read_csv_rows(path)) as lines:
         header = next(lines, None)
         if header is None:
             raise TraceSchemaError(f"{path}: file is empty")
-        if header != expected_header(len(header) - 1) or len(header) < 2:
-            raise TraceSchemaError(f"{path}: unexpected header {header}")
         width = len(header)
-        blocks = []
-        first = 0
-        while rows := list(islice(lines, _BLOCK_ROWS)):
-            values = convert(rows, width) if _frames_in_order(rows, width, first) else None
-            if values is None:
-                values = np.array(_parse_rows(path, width, rows, parse_cell, first), dtype=dtype)
-            blocks.append(values)
-            first += len(rows)
-    return np.concatenate(blocks) if blocks else np.array([], dtype=dtype)
+        if header != expected_header(width - 1) or width < 2:
+            raise TraceSchemaError(f"{path}: unexpected header {header}")
+        parsed = []
+        for lineno, row in enumerate(lines, start=2):
+            if len(row) != width:
+                raise TraceSchemaError(
+                    f"{path}: line {lineno} has {len(row)} columns, expected {width}"
+                )
+            try:
+                frame = int(row[0])
+            except ValueError as exc:
+                raise TraceFormatError(f"bad frame index {row[0]!r}", line=lineno) from exc
+            if frame != len(parsed):
+                raise TraceSchemaError(
+                    f"{path}: frame index {frame} at line {lineno} does not match row position "
+                    f"{len(parsed)}"
+                )
+            parsed.append([parse_cell(cell, lineno) for cell in row[1:]])
+    return np.array(parsed, dtype=dtype)
+
+
+def _frame_chars(n: int) -> int:
+    """The characters of the frame cells 0..n-1 written in decimal: len("".join(map(str, range(n))))."""
+    return n + sum(n - 10 ** d for d in range(1, len(str(n - 1))))
+
+
+def _bits_as_written(bits: np.ndarray, cell_chars: int) -> bool:
+    """True when every availability cell is the text ``0`` or ``1``.
+
+    loadtxt's int parser reads ``[spaces][sign]digits[spaces]``, so it also
+    takes ``01``, ``+1`` and `` 1``; each of those is longer than the
+    shortest text of its value. ``cell_chars`` counts the characters of all
+    data cells, frame cells included: when it equals the shortest texts'
+    total, every cell is written in its shortest form.
+    """
+    n, width = bits.shape
+    return bits.max() <= 1 and cell_chars == _frame_chars(n) + n * width
+
+
+def _latencies_valid(latency: np.ndarray, cell_chars: int) -> bool:
+    """True when every latency is finite and >= 0, as ``_parse_latency`` requires."""
+    return bool(np.isfinite(latency).all() and (latency >= 0).all())
+
+
+def _bulk_matrix(path, expected_header, dtype, accept) -> np.ndarray | None:
+    """The data rows of a trace CSV parsed in one pass by numpy's C reader.
+
+    Returns None unless byte-level guards show that ``_read_matrix`` would
+    accept the file with the same values:
+
+    - the file is ASCII with no ``"``, and its only control characters are
+      line ends (loadtxt strips \\x1c-\\x1f around numbers, ``int`` and
+      ``float`` do not);
+    - the header is the expected one;
+    - every line ends in ``\\n``, or every one in ``\\r\\n``, bar perhaps the last;
+    - no line is blank (loadtxt skips blank lines, the row loop rejects
+      them) or as long as ``csv.field_size_limit()``;
+    - every row has the header's width, with frame cells that parse as ints
+      0..n-1;
+    - ``accept(cells, cell_chars)`` holds, ``cell_chars`` being the number
+      of characters in all data cells.
+
+    Within these guards loadtxt's int and float parsers read a subset of
+    what ``int`` and ``float`` read, to the same values.
+    """
+    raw = Path(path).read_bytes()
+    if not raw.isascii() or b'"' in raw:
+        return None
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(codes == _LF)
+    n_cr = np.count_nonzero(codes == _CR)
+    if np.count_nonzero(codes < 0x20) != ends.size + n_cr:
+        return None
+    header = raw[:ends[0] if ends.size else None].removesuffix(b"\r").decode().split(",")
+    if len(header) < 2 or header != expected_header(len(header) - 1):
+        return None
+    eol = 2 if n_cr else 1    # bytes per line end
+    if n_cr and (n_cr != ends.size or (codes[ends - 1] != _CR).any()):
+        return None
+    spans = np.diff(ends, prepend=-1, append=len(raw))    # each line's length plus one
+    if (spans[:-1] == eol).any() or spans.max() > csv.field_size_limit():
+        return None
+    n = ends.size - raw.endswith(b"\n")
+    if n == 0:
+        return np.array([], dtype=dtype)
+    width = len(header) - 1
+    row = np.dtype([("frame", np.int64), ("cells", dtype, (width,))])
+    try:
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="ascii") as text:
+            table = np.loadtxt(text, dtype=row, delimiter=",", comments=None, skiprows=1, ndmin=1)
+    except ValueError:
+        return None
+    cells = table["cells"]
+    cell_chars = len(raw) - (ends[0] + 1) - (ends.size - 1) * eol - n * width
+    if len(table) != n or (table["frame"] != np.arange(n)).any() or not accept(cells, cell_chars):
+        return None
+    return cells.copy(order="C")
+
+
+def _load_matrix(path, expected_header, dtype, accept, parse_cell) -> np.ndarray:
+    """The data rows of a trace CSV as one array: parsed in bulk when ``_bulk_matrix``
+    accepts the file, else by the row loop, which raises at the first bad line."""
+    values = _bulk_matrix(path, expected_header, dtype, accept)
+    return values if values is not None else _read_matrix(path, expected_header, parse_cell, dtype)
 
 
 def load_traces(trace_dir) -> tuple[CameraTrace, ServerLatencyTrace]:
     """Load cameras.csv and servers.csv from a directory written by save_traces.
 
-    Each file is read once and its rows are checked and converted in bulk
-    (see ``_load_matrix``); undecodable or malformed files raise
-    TraceFormatError. Event logs are not part of the CSV schema, so loaded
-    traces carry empty event lists.
+    Each file is parsed in one bulk pass when it passes the guards of
+    ``_bulk_matrix``, and otherwise row by row; undecodable or malformed
+    files raise TraceFormatError or TraceSchemaError. Event logs are not
+    part of the CSV schema, so loaded traces carry empty event lists.
     """
     trace_dir = Path(trace_dir)
-    availability = _load_matrix(trace_dir / CAMERAS_FILE, _camera_header, _bits, _parse_bit,
-                                np.uint8)
-    latency = _load_matrix(trace_dir / SERVERS_FILE, _server_header, _latencies, _parse_latency,
-                           float)
+    availability = _load_matrix(trace_dir / CAMERAS_FILE, _camera_header, np.uint8,
+                                _bits_as_written, _parse_bit)
+    latency = _load_matrix(trace_dir / SERVERS_FILE, _server_header, float,
+                           _latencies_valid, _parse_latency)
     if len(availability) != len(latency):
         raise TraceSchemaError(
             f"camera trace has {len(availability)} frames but server trace has {len(latency)}"

@@ -153,6 +153,13 @@ def epsilon_greedy(q_values, epsilon: float, rng) -> int:
     return int(np.asarray(q_values).argmax())
 
 
+def _indented_row(encoded: str) -> str:
+    """A list as ``json.dumps`` writes it, laid out as ``indent=2`` lays out a Q-table row."""
+    if encoded == "[]":
+        return encoded
+    return "[\n      " + encoded[1:-1].replace(", ", ",\n      ") + "\n    ]"
+
+
 class QTable:
     """Lazily materialized (state, action) value table; absent entries read as 0.
 
@@ -223,9 +230,20 @@ class QTable:
         return table
 
     def save_json(self, path) -> None:
+        """Write the bytes of ``json.dump(self.to_dict(), fh, indent=2)`` and a newline.
+
+        ``json.dump`` with an indent encodes in Python, one value at a time.
+        Here each row goes through the C encoder (``json.dumps``) and is
+        re-indented: its ", " separators never occur inside a number's text,
+        ``Infinity`` and ``NaN`` included.
+        """
+        payload = self.to_dict()
+        rows = ",\n".join(f"    {json.dumps(state)}: {_indented_row(json.dumps(cells))}"
+                          for state, cells in payload["rows"].items())
+        rows = f"{{\n{rows}\n  }}" if rows else "{}"
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(f'{{\n  "n_actions": {json.dumps(payload["n_actions"])},\n'
+                     f'  "rows": {rows}\n}}\n')
 
     @classmethod
     def load_json(cls, path) -> "QTable":

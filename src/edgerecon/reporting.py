@@ -45,8 +45,11 @@ class ReportBundle:
 
 
 def five_number_summary(values) -> tuple[float, float, float, float, float]:
-    """(min, q1, median, q3, max); quartiles via linear interpolation."""
-    arr = np.asarray(list(values), dtype=float)
+    """(min, q1, median, q3, max); quartiles via linear interpolation.
+
+    ``values`` is a sequence of floats; an ``array("d")`` is read in place.
+    """
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return (0.0, 0.0, 0.0, 0.0, 0.0)
     q = np.percentile(arr, [0, 25, 50, 75, 100])

@@ -153,6 +153,42 @@ class TestRun:
             assert field in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("n_cameras: 3\nk_max: 3\nquality:\n"
+         "  table: {\"110\": 300.0, \"101\": 300.0, \"011\": 300.0, \"111\": 100.0}\n",
+         "quality table not monotone: 111 < 011"),
+        ("n_cameras: 3\nk_max: 3\ndisruption:\n  n_bump_events: 10\n"
+         "  correlation_groups: [[0, 1], [2]]\n",
+         "could not place 10 non-overlapping camera bump events in 20 frames"),
+    ], ids=["non-monotone-table", "unplaceable-bumps"])
+    def test_episode_error_exits_before_out_exists(self, tmp_path, capsys, text, message):
+        # Both are found only once the episode starts; --out is made after it ends.
+        config = write_config(tmp_path, "n_frames: 20\nseed: 1\n" + text)
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) \
+            == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fewer_cameras_than_the_default_groups_runs(self, tmp_path):
+        # The default correlation groups drop the cameras a 3-camera rig lacks.
+        config = write_config(tmp_path, "n_frames: 20\nn_cameras: 3\nk_max: 3\n")
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == EXIT_OK
+
+    def test_overflowing_replayed_latency_is_trace_error(self, tmp_path, capsys):
+        # Each cell is finite, but 1.7e308 plus 5 x 1e307 ms of transfer is not.
+        traces = tmp_path / "traces"
+        assert run_cli("gen-traces", "--out", str(traces), "--frames", "5") == EXIT_OK
+        servers = traces / "servers.csv"
+        lines = servers.read_bytes().split(b"\r\n")
+        lines[1] = b"0,1.7e308" + lines[1][lines[1].index(b",", 2):]
+        servers.write_bytes(b"\r\n".join(lines))
+        config = write_config(tmp_path, f"n_frames: 5\nserver_policy: latency_greedy\n"
+                                        f"traces_dir: {traces}\nlatency:\n  per_image_tx_ms: 1.0e+307\n")
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) \
+            == EXIT_TRACE_ERROR
+        assert f"trace error: {servers}: a latency of 1.7e+308 ms" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_quality_curve_takes_its_limit(self, tmp_path):
         # 2.6 * (1.6 - 400) is far below -709: exp overflows in the logistic,
         # whose limit there is 0.0.

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from edgerecon.disruption import (DisruptionParams, generate_camera_trace, generate_server_trace,
-                                  load_traces, save_traces, write_event_log)
+from edgerecon.disruption import (DEFAULT_CORRELATION_GROUPS, DisruptionParams,
+                                  generate_camera_trace, generate_server_trace, load_traces,
+                                  save_traces, write_event_log)
 from edgerecon.errors import ConfigError, TraceFormatError, TraceSchemaError
 
 
@@ -29,6 +30,15 @@ class TestParamsValidation:
     def test_error_names_field(self):
         with pytest.raises(ConfigError, match="disruption_threshold"):
             DisruptionParams(disruption_threshold=2.0).validate()
+
+    @pytest.mark.parametrize("n_cameras, groups", [
+        (1, ((0,),)), (2, ((0, 1),)), (3, ((0, 1), (2,))), (4, ((0, 1), (2,), (3,))),
+        (5, DEFAULT_CORRELATION_GROUPS), (12, DEFAULT_CORRELATION_GROUPS)])
+    def test_default_groups_drop_absent_cameras(self, n_cameras, groups):
+        params = DisruptionParams(n_frames=400, n_cameras=n_cameras, n_bump_events=3,
+                                  mean_bump_len=5)
+        assert params.correlation_groups is None and params.groups == groups
+        assert len(generate_camera_trace(params).events) == 3
 
 
 class TestCameraTrace:

@@ -1,10 +1,12 @@
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgerecon.errors import ConfigError
@@ -120,6 +122,32 @@ class TestQTable:
             assert np.array_equal(loaded.rows[state], table.rows[state])
         payload = json.loads(path.read_text())
         assert set(payload) == {"n_actions", "rows"}
+
+    SNAPSHOT_CELLS = st.one_of(
+        st.floats(width=64),
+        st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                         math.inf, -math.inf, math.nan, 0.1, 1 / 3]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_actions=st.integers(0, 5))
+    @example(data=None, n_actions=0)
+    def test_snapshot_bytes_equal_json_dump(self, data, n_actions):
+        table = QTable(n_actions)
+        if data is not None:
+            states = data.draw(st.lists(st.one_of(st.text(max_size=6), st.sampled_from(
+                ['"', "\\", "\n", "\x00", "\x7f", "é", "\u2028", "\U0001f600", "global"])),
+                max_size=4, unique=True))
+            for state in states:
+                cells = data.draw(st.lists(self.SNAPSHOT_CELLS, min_size=n_actions,
+                                           max_size=n_actions))
+                table._add(state, np.array(cells, dtype=float), 0)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.json", Path(tmp) / "want.json"
+            table.save_json(got)
+            with open(want, "w") as fh:
+                json.dump(table.to_dict(), fh, indent=2)
+                fh.write("\n")
+            assert got.read_bytes() == want.read_bytes()
 
     def test_snapshot_width_checked(self):
         with pytest.raises(ConfigError):

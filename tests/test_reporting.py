@@ -1,6 +1,10 @@
 import json
+import struct
+from array import array
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgerecon.config import ExperimentConfig
 from edgerecon.controller import run_episode
@@ -30,6 +34,17 @@ class TestFiveNumberSummary:
 
     def test_empty(self):
         assert five_number_summary([]) == (0.0, 0.0, 0.0, 0.0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    @example([])
+    def test_array_reads_as_its_list(self, values):
+        # RunStats keeps total latencies in an array("d"), read without a list copy.
+        def bits(summary):
+            return [struct.pack("<d", v) for v in summary]
+        column = array("d", values)
+        assert bits(five_number_summary(column)) == bits(five_number_summary(list(column)))
+        assert list(column) == values    # read, not reordered in place
 
 
 class TestHistogramShares:

@@ -1,19 +1,22 @@
 """Trace and frame-log CSV I/O against plain row-by-row references.
 
-``load_traces`` checks rows in bulk and re-runs its row loop only to word an
-error; the reference below is that loop alone, one cell at a time. Mutated
-copies of small valid trace files must load to the same arrays, or fail with
-the same error type and message. The writers format rows with %-templates;
+``load_traces`` parses a file in one bulk pass when byte-level guards allow
+it and otherwise runs its row loop, which also words every error; the
+reference below is that loop alone, one cell at a time. Mutated copies of
+small valid trace files, and targeted edge cases, must load to the same
+arrays, or fail with the same error type and message. The writers format rows with %-templates;
 their bytes must equal ``csv.writer`` output on the same cells.
 """
 
 import csv
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -166,14 +169,123 @@ def test_mutated_traces_load_like_the_row_loop(data):
     target = data.draw(st.sampled_from(["cameras", "servers", "both"]))
     cam_bytes = data.draw(mutate(cams)) if target != "servers" else encode(cams)
     srv_bytes = data.draw(mutate(srvs)) if target != "cameras" else encode(srvs)
-    # Small blocks make the loader check and convert a file in several parts.
-    block_rows = data.draw(st.sampled_from([1, 2, 3, disruption._BLOCK_ROWS]))
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(disruption, "_BLOCK_ROWS", block_rows):
+    with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "cameras.csv").write_bytes(cam_bytes)
         (tmp / "servers.csv").write_bytes(srv_bytes)
         assert_same_outcome(tmp)
+
+
+CAMERAS = b"frame,cam_1,cam_2\r\n0,1,0\r\n1,0,1\r\n2,1,1\r\n"
+SERVERS = b"frame,srv_1_ms,srv_2_ms\r\n0,150.5,1e-300\r\n1,0.0,-0.0\r\n2,1e+300,7.25\r\n"
+LIMIT = csv.field_size_limit()
+
+# (file, old bytes, new bytes): each case replaces the first occurrence in
+# that file of the valid pair above.
+EDGE_CASES = {
+    "blank line": ("cameras", b"\r\n1,", b"\r\n\r\n1,"),
+    "blank line after the header": ("servers", b"ms\r\n", b"ms\r\n\r\n"),
+    "blank last line": ("servers", b"7.25\r\n", b"7.25\r\n\r\n"),
+    "only blank lines": ("cameras", b"\r\n0,1,0\r\n1,0,1\r\n2,1,1\r\n", b"\r\n\r\n\r\n"),
+    "blank line, \\n ends": ("servers", SERVERS, SERVERS.replace(b"\r\n", b"\n").replace(b"\n1,", b"\n\n1,")),
+    "whitespace-only line": ("cameras", b"\r\n1,", b"\r\n \r\n1,"),
+    "lone \\r": ("servers", b"\r\n1,", b"\r1,"),
+    "lone \\r at the end": ("cameras", b"1,1\r\n", b"1,1\r"),
+    "\\n ends": ("cameras", CAMERAS, CAMERAS.replace(b"\r\n", b"\n")),
+    "\\n ends in both": ("servers", SERVERS, SERVERS.replace(b"\r\n", b"\n")),
+    "one \\n end among \\r\\n": ("servers", b"\r\n1,", b"\n1,"),
+    "\\r\\r\\n end": ("cameras", b"\r\n1,", b"\r\r\n1,"),
+    "one \\n end among \\r\\n, then a 01 cell": ("cameras", b"0,1,0\r\n1,0,1", b"0,1,0\n1,01,1"),
+    "quoted camera cell": ("cameras", b"0,1,0", b'0,"1",0'),
+    "quoted latency cell": ("servers", b"150.5", b'"150.5"'),
+    "quoted frame cell": ("servers", b"\n1,", b'\n"1",'),
+    "quoted header cell": ("cameras", b"cam_1", b'"cam_1"'),
+    "camera cell 01": ("cameras", b"1,0,1", b"1,01,1"),
+    "camera cell +1": ("cameras", b"2,1,1", b"2,+1,1"),
+    "camera cell  1": ("cameras", b"0,1,0", b"0, 1,0"),
+    "camera cell 1 ": ("cameras", b"0,1,0", b"0,1 ,0"),
+    "camera cell -0": ("cameras", b"0,1,0", b"0,1,-0"),
+    "camera cell 2": ("cameras", b"0,1,0", b"0,1,2"),
+    "camera cell 1.0": ("cameras", b"0,1,0", b"0,1.0,0"),
+    "empty camera cell": ("cameras", b"0,1,0", b"0,,0"),
+    "camera frame 01": ("cameras", b"\n1,", b"\n01,"),
+    "camera frame 1.0": ("cameras", b"\n1,", b"\n1.0,"),
+    "server frame 1.0": ("servers", b"\n1,", b"\n1.0,"),
+    "server frame 1e0": ("servers", b"\n1,", b"\n1e0,"),
+    "server frame 01": ("servers", b"\n1,", b"\n01,"),
+    "server frame +1": ("servers", b"\n1,", b"\n+1,"),
+    "server frame  1": ("servers", b"\n1,", b"\n 1,"),
+    "server frame -0": ("servers", b"\n0,", b"\n-0,"),
+    "server frame 1_0": ("servers", b"\n1,", b"\n1_0,"),
+    "frames out of order": ("servers", b"\n1,", b"\n3,"),
+    "NUL in a camera cell": ("cameras", b"0,1,0", b"0,1\x00,0"),
+    "NUL in a latency cell": ("servers", b"7.25", b"7.2\x005"),
+    "non-ASCII digit camera cell": ("cameras", b"0,1,0", "0,\u0661,0".encode()),
+    "non-ASCII digit latency": ("servers", b"150.5", "\u0661\u0665\u0660.5".encode()),
+    "non-ASCII digit frame": ("servers", b"\n1,", "\n\u0661,".encode()),
+    "\\x1c before a latency": ("servers", b"150.5", b"\x1c150.5"),
+    "\\x1f after a frame": ("servers", b"\n1,", b"\n1\x1f,"),
+    "\\x1c before a camera frame": ("cameras", b"\n1,", b"\n\x1c1,"),
+    "tab around a latency": ("servers", b"150.5", b"\t150.5 "),
+    "latency 1_0": ("servers", b"7.25", b"1_0"),
+    "latency 0x10": ("servers", b"7.25", b"0x10"),
+    "latency 1e": ("servers", b"7.25", b"1e"),
+    "latency infinity": ("servers", b"7.25", b"infinity"),
+    "latency nan": ("servers", b"7.25", b"nan"),
+    "latency 1e400": ("servers", b"7.25", b"1e400"),
+    "negative latency": ("servers", b"7.25", b"-7.25"),
+    "latency 1.": ("servers", b"7.25", b"1."),
+    "latency .5": ("servers", b"7.25", b".5"),
+    "empty latency cell": ("servers", b"7.25", b""),
+    "extra column in every row": ("cameras", CAMERAS, CAMERAS.replace(b"\r\n", b",0\r\n")),
+    "missing column": ("servers", b",7.25", b""),
+    "oversized latency cell": ("servers", b"7.25", b"0." + b"0" * LIMIT + b"5"),
+    "oversized frame cell": ("servers", b"\n1,", b"\n" + b"0" * LIMIT + b"1,"),
+    "line over the limit": ("servers", b"7.25", b"7.25" + b"0" * (LIMIT - 10)),
+    "missing final newline": ("servers", b"7.25\r\n", b"7.25"),
+    "missing final newline, \\n ends": ("cameras", CAMERAS, CAMERAS.replace(b"\r\n", b"\n")[:-1]),
+    "header only": ("cameras", CAMERAS, b"frame,cam_1,cam_2\r\n"),
+    "header only, no newline": ("servers", SERVERS, b"frame,srv_1_ms,srv_2_ms"),
+    "empty file": ("servers", SERVERS, b""),
+    "blank header": ("cameras", CAMERAS, b"\r\n" + CAMERAS),
+    "one-column header": ("servers", SERVERS, b"frame\r\n0\r\n"),
+    "wrong header": ("servers", b"srv_2_ms", b"srv_3_ms"),
+}
+
+
+@pytest.mark.parametrize("target, old, new", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_edge_case_traces_load_like_the_row_loop(tmp_path, target, old, new):
+    files = {"cameras": CAMERAS, "servers": SERVERS}
+    assert old in files[target]
+    files[target] = files[target].replace(old, new, 1)
+    for name, data in files.items():
+        (tmp_path / f"{name}.csv").write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # e.g. loadtxt's warning on a file of blank lines
+        assert_same_outcome(tmp_path)
+
+
+def test_frame_chars_counts_the_decimal_frame_cells():
+    for n in [*range(1, 1200), 9_999, 10_000, 10_001, 123_456]:
+        assert disruption._frame_chars(n) == len("".join(map(str, range(n)))), n
+
+
+@pytest.mark.parametrize("eol", [b"\r\n", b"\n"])
+@pytest.mark.parametrize("final_eol", [True, False])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_well_formed_traces_take_the_bulk_parse(tmp_path, eol, final_eol, rows):
+    """Files as save_traces writes them, or with \\n line ends, never reach the row loop."""
+    for name, data in (("cameras.csv", CAMERAS), ("servers.csv", SERVERS)):
+        lines = data.split(b"\r\n")[:rows + 1]
+        data = eol.join(lines) + (eol if final_eol else b"")
+        (tmp_path / name).write_bytes(data)
+    with mock.patch.object(disruption, "_read_matrix", side_effect=AssertionError("row loop")):
+        camera, server = load_traces(tmp_path)
+    want = reference_load(tmp_path)
+    assert camera.availability.dtype == want[0].dtype and server.latency_ms.dtype == want[1].dtype
+    assert np.array_equal(camera.availability, want[0])
+    assert server.latency_ms.shape == want[1].shape
+    assert server.latency_ms.tobytes() == want[1].tobytes()    # -0.0 and 1e-300 bit for bit
 
 
 def test_saved_traces_load_like_the_row_loop(tmp_path):
