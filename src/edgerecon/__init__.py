@@ -6,7 +6,7 @@ from .controller import run_episode, run_grid
 from .disruption import (CameraTrace, DisruptionParams, ServerLatencyTrace,
                          generate_camera_trace, generate_server_trace, load_traces, save_traces)
 from .environment import FrameOutcome, LatencyModel, QualityModel, step
-from .metrics import (FrameLog, FrameRecord, RewardWeights, RunStats, Thresholds, camera_reward,
+from .metrics import (FrameLog, RewardWeights, RunStats, Thresholds, camera_reward,
                       latency_score, quality_score, reliability, server_reward)
 from .policies import ActionSpace, AgentParams, QTable, enumerate_actions, epsilon_greedy, q_update
 
@@ -20,7 +20,6 @@ __all__ = [
     "ExperimentConfig",
     "FrameLog",
     "FrameOutcome",
-    "FrameRecord",
     "LatencyModel",
     "QTable",
     "QualityModel",

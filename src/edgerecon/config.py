@@ -14,7 +14,7 @@ from pathlib import Path
 import yaml
 
 from .disruption import DisruptionParams
-from .environment import MIN_VIEWS, LatencyModel, QualitySpec
+from .environment import MIN_VIEWS, LatencyModel, QualityModel, QualitySpec
 from .errors import (PATH, ConfigError, Integer, OneOf, Optional, Real, Section, check_fields,
                      load_section, setting)
 from .masks import MAX_CAMERAS, bitstring, subsets
@@ -77,11 +77,12 @@ class ExperimentConfig:
                 f"expected n_servers={self.n_servers}"
             )
         if quality.table is not None:
-            for key in quality.table:
-                if len(key) != self.n_cameras:
-                    raise ConfigError(
-                        f"quality.table key {key!r} is not a bitstring of {self.n_cameras} bits"
-                    )
+            # The model checks the keys' width and that quality never drops
+            # as a camera joins the subset.
+            try:
+                QualityModel.synthetic(self.n_cameras, table=quality.table)
+            except ConfigError as exc:
+                raise ConfigError(f"quality.table: {exc}") from exc
             # Outages can leave any subset of MIN_VIEWS..k_max selected cameras.
             for mask in subsets(self.n_cameras, MIN_VIEWS, self.k_max):
                 key = bitstring(mask, self.n_cameras)

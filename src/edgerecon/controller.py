@@ -5,15 +5,15 @@ Each frame: the camera policy picks a subset, the server policy observes
 the outcome, and once the configured feedback delay has elapsed both policies
 learn from that frame's rewards. Everything is driven by the config seed.
 
-The camera policy's subset is an integer mask (see the ``masks`` module)
-that indexes the engine's tables directly. The engine builds those tables
-once per episode (camera availability as integer masks, popcounts, base
-quality by frame and mask, reconstruction latency by server and view count,
-the environment noise drawn in one call) and then computes each frame
-inline, with the same float expressions as ``environment.step``,
-``camera_reward``, ``server_reward`` and ``reliability``, appending to the
-columns of a FrameLog. ``step`` stays the single-frame reference that the
-tests compare the engine against.
+The camera policy's subset is an integer mask (see the ``masks`` module),
+the package's one mask form, and indexes the engine's tables directly. The
+engine builds those tables once per episode (camera availability as integer
+masks, popcounts, base quality by frame and mask, reconstruction latency by
+server and view count, the environment noise drawn in one call) and then
+computes each frame inline, with the same float expressions as
+``environment.step``, ``camera_reward``, ``server_reward`` and
+``reliability``, appending to the columns of a FrameLog. ``step`` stays the
+single-frame reference that the tests compare the engine against.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .disruption import (SERVERS_FILE, CameraTrace, ServerLatencyTrace, generate
                          generate_server_trace, load_traces)
 from .environment import MIN_VIEWS, QualityModel, load_quality_trace
 from .errors import ConfigError, TraceFormatError
-from .masks import bitstring, mask_from_str
+from .masks import bitstring
 from .metrics import FrameLog, RunStats
 from .policies import (BanditCameraPolicy, DrawStream, GreedyTripletCameraPolicy,
                        LatencyGreedyServerPolicy, QLearningCameraPolicy, QLearningServerPolicy,
@@ -101,13 +101,10 @@ def build_quality_model(config: ExperimentConfig) -> QualityModel:
                 f"quality trace covers {len(model.table)} frames, need {config.n_frames}"
             )
         return model
-    table = None
-    if spec.table is not None:
-        table = {mask_from_str(k): float(v) for k, v in spec.table.items()}
     return QualityModel.synthetic(
         config.n_cameras,
         noise_sd=spec.noise_sd,
-        table=table,
+        table=spec.table,
         camera_weights=spec.camera_weights,
         ceiling=spec.ceiling,
         curve=spec.curve,

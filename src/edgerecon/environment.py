@@ -18,7 +18,7 @@ import numpy as np
 from .csvio import read_csv_rows, write_csv_rows
 from .errors import (PATH, ConfigError, ListOf, OneOf, Optional, Real, Table, TraceFormatError,
                      TraceSchemaError, check_fields, setting)
-from .masks import Mask, bitstring, mask_from_str, mask_to_int, mask_to_str, require_camera_cap
+from .masks import bitstring, mask_from_str, require_camera_cap
 from .metrics import FrameOutcome, Thresholds, reliability
 
 # Two overlapping views are the hard floor for triangulating any geometry.
@@ -148,30 +148,33 @@ class QualityModel:
             _check_monotone(table, self.n_cameras)
 
     @classmethod
-    def synthetic(cls, n_cameras: int, noise_sd: float = 0.0, table: dict[Mask, float] | None = None,
+    def synthetic(cls, n_cameras: int, noise_sd: float = 0.0, table: dict[str, float] | None = None,
                   camera_weights=None, ceiling: float = DEFAULT_QUALITY_CEILING,
                   curve: float = DEFAULT_QUALITY_CURVE,
                   midpoint: float = DEFAULT_QUALITY_MIDPOINT) -> "QualityModel":
+        """The synthetic curve's model, or the model of an explicit bitstring -> quality table."""
         require_camera_cap(n_cameras)
         if table is None:
             return cls(_synthetic_dense(n_cameras, camera_weights, ceiling, curve, midpoint),
                        noise_sd)
         dense = np.full(1 << n_cameras, np.nan)
-        for mask, value in table.items():
-            if len(mask) != n_cameras:
-                raise ConfigError(f"quality mask {mask_to_str(mask)} does not have {n_cameras} bits")
-            dense[mask_to_int(mask)] = value
+        for key, value in table.items():
+            if not isinstance(key, str) or len(key) != n_cameras or key.strip("01"):
+                raise ConfigError(
+                    f"quality table key {key!r} is not a bitstring of {n_cameras} bits")
+            dense[int(key, 2)] = value
         return cls(dense, noise_sd)
 
-    def base_quality(self, frame: int, effective: Mask) -> float:
+    def base_quality(self, frame: int, effective: int) -> float:
         row = self.table
         if row.ndim == 2:
             if frame >= row.shape[0]:
                 raise IndexError(f"frame {frame} beyond quality trace length {row.shape[0]}")
             row = row[frame]
-        quality = float(row[mask_to_int(effective)])
+        quality = float(row[effective])
         if math.isnan(quality):
-            raise ConfigError(f"quality table has no entry for subset {mask_to_str(effective)}")
+            raise ConfigError(
+                f"quality table has no entry for subset {bitstring(effective, self.n_cameras)}")
         return quality
 
 
@@ -196,7 +199,7 @@ class LatencyModel:
         return self.server_speed_factor[server]
 
 
-def step(frame: int, selected: Mask, server: int, camera_trace, server_trace,
+def step(frame: int, selected: int, server: int, camera_trace, server_trace,
          quality_model: QualityModel, latency_model: LatencyModel, thresholds: Thresholds,
          *, k_min: int | None = None, k_max: int | None = None, rng=None) -> FrameOutcome:
     """Simulate one timestep under the current disruption state.
@@ -213,17 +216,20 @@ def step(frame: int, selected: Mask, server: int, camera_trace, server_trace,
         )
     if not 0 <= server < server_trace.n_servers:
         raise IndexError(f"server {server} out of range, trace has {server_trace.n_servers}")
-    if len(selected) != camera_trace.n_cameras:
-        raise ValueError(
-            f"mask has {len(selected)} bits, trace has {camera_trace.n_cameras} cameras"
-        )
-    k_sel = sum(selected)
+    n_cameras = camera_trace.n_cameras
+    if not 0 <= selected < 1 << n_cameras:
+        raise ValueError(f"mask {selected} is not a {n_cameras}-bit mask")
+    k_sel = selected.bit_count()
     if k_min is not None and k_max is not None and not k_min <= k_sel <= k_max:
-        raise ValueError(f"mask {mask_to_str(selected)} violates subset bounds [{k_min}, {k_max}]")
+        raise ValueError(
+            f"mask {bitstring(selected, n_cameras)} violates subset bounds [{k_min}, {k_max}]")
 
     # Disrupted cameras drop out of the selection for this frame.
-    effective = tuple(int(b) & int(a) for b, a in zip(selected, camera_trace.availability[frame]))
-    k_eff = sum(effective)
+    available = 0
+    for bit in camera_trace.availability[frame]:
+        available = available << 1 | int(bit) & 1
+    effective = selected & available
+    k_eff = effective.bit_count()
 
     if k_eff < MIN_VIEWS:
         quality = 0.0
@@ -266,7 +272,7 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
             masks = [mask_from_str(col) for col in header[1:]]
         except ValueError as exc:
             raise TraceSchemaError(f"{path}: {exc}") from exc
-        widths = {len(m) for m in masks}
+        widths = {len(col) for col in header[1:]}
         if len(widths) != 1:
             raise TraceSchemaError(f"{path}: mask columns have mixed lengths {sorted(widths)}")
         width = widths.pop()
@@ -274,7 +280,7 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
             raise TraceSchemaError(f"{path}: mask columns have {width} bits, expected {n_cameras}")
         # Count the required subsets the header names before listing any,
         # so a wide header fails without enumerating 2**width subsets.
-        present = {mask_to_int(m) for m in masks}
+        present = set(masks)
         need = (1 << width) - 1 - width
         have = sum(1 for m in present if m.bit_count() >= MIN_VIEWS)
         if have < need:
@@ -313,7 +319,7 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
     if not n_rows:
         raise TraceSchemaError(f"{path}: no data rows")
     # A subset named by more than one column takes its last column.
-    columns = {mask_to_int(mask): i for i, mask in enumerate(masks)}
+    columns = {mask: i for i, mask in enumerate(masks)}
     table = np.full((n_rows, 1 << width), np.nan)
     table[:, list(columns)] = np.frombuffer(cells).reshape(n_rows, -1)[:, list(columns.values())]
     return QualityModel(table)

@@ -1,17 +1,13 @@
 """Camera-subset masks.
 
 A mask is an integer with camera 0 in the most significant of ``n_cameras``
-bits, so ``bitstring(mask, n_cameras)`` is how files and messages show it.
-Policies, the action space and the episode engine use that form. The
-single-frame reference ``environment.step`` and the ``FrameRecord`` views
-take a mask as a tuple of 0/1 bits, one per camera.
+bits, so ``bitstring(mask, n_cameras)`` is how files and messages show it
+and ``mask_from_str`` reads it back.
 """
 
 from __future__ import annotations
 
 from .errors import ConfigError
-
-Mask = tuple[int, ...]
 
 # Largest camera count a config may ask for. The engine keeps tables over
 # all 2**n_cameras masks; at 20 cameras one quality row is 8 MB of floats.
@@ -29,27 +25,11 @@ def bitstring(mask: int, n_cameras: int) -> str:
     return format(mask, f"0{n_cameras}b")
 
 
-def mask_to_str(mask: Mask) -> str:
-    return "".join(str(b) for b in mask)
-
-
-def mask_from_str(text: str) -> Mask:
-    if not text or any(ch not in "01" for ch in text):
+def mask_from_str(text: str) -> int:
+    """The integer mask a bitstring shows; its width is len(text)."""
+    if not text or text.strip("01"):
         raise ValueError(f"mask string must be nonempty 0/1 characters, got {text!r}")
-    return tuple(int(ch) for ch in text)
-
-
-def mask_to_int(mask: Mask) -> int:
-    value = 0
-    for bit in mask:
-        value = (value << 1) | bit
-    return value
-
-
-def mask_from_int(value: int, n_cameras: int) -> Mask:
-    if not 0 <= value < 1 << n_cameras:
-        raise ValueError(f"mask {value} does not fit in {n_cameras} cameras")
-    return tuple((value >> (n_cameras - 1 - i)) & 1 for i in range(n_cameras))
+    return int(text, 2)
 
 
 def subsets(n_cameras: int, k_min: int, k_max: int) -> list[int]:

@@ -4,25 +4,23 @@ Quality is measured in matching points per view, latency in seconds. Both
 scores are normalized into [0, 1]; a frame is reliable only if the quality
 floor and both latency budgets hold simultaneously.
 
-An episode's per-frame results are kept as columns in a FrameLog; records
-and outcomes are built from them only when someone reads a frame.
+An episode's per-frame results are kept as columns in a FrameLog.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import operator
 from array import array
 from collections import Counter
-from collections.abc import Sequence
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 
-from .csvio import write_csv_rows
-from .errors import ConfigError, Real, TraceFormatError, check_fields, setting
-from .masks import Mask, bitstring, mask_from_int, mask_to_str
+from .csvio import read_csv_rows, write_csv_rows
+from .errors import ConfigError, Real, TraceFormatError, TraceSchemaError, check_fields, setting
+from .masks import bitstring
 
 
 @dataclass(frozen=True)
@@ -102,32 +100,17 @@ class FrameOutcome:
     tx_latency_s: float
     recon_latency_s: float
     total_latency_s: float
-    effective_mask: Mask
+    effective_mask: int
     reliable: int
 
 
-@dataclass(frozen=True)
-class FrameRecord:
-    frame: int
-    mask: Mask
-    server: int
-    outcome: FrameOutcome
-    camera_reward: float
-    server_reward: float
-    camera_epsilon: float
-    camera_alpha: float
-    server_epsilon: float
-    server_alpha: float
-
-
 @dataclass(eq=False)
-class FrameLog(Sequence):
+class FrameLog:
     """One episode's per-frame results as columns, in frame order.
 
     Masks are integers (see the ``masks`` module); the effective mask of frame t is
     ``masks[t] & availability[t]``. The epsilon/alpha columns hold what the
-    policies exposed, NaN where a policy has no such attribute. Indexing,
-    slicing and iteration build FrameRecord views on demand.
+    policies exposed, NaN where a policy has no such attribute.
     """
 
     n_cameras: int
@@ -148,38 +131,6 @@ class FrameLog(Sequence):
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def __getitem__(self, index):
-        frames = range(len(self.masks))[index]
-        if isinstance(index, slice):
-            return [self._record(frame) for frame in frames]
-        return self._record(frames)
-
-    def __iter__(self):
-        return map(self._record, range(len(self.masks)))
-
-    def _record(self, t: int) -> FrameRecord:
-        n = self.n_cameras
-        mask = self.masks[t]
-        return FrameRecord(
-            frame=t,
-            mask=mask_from_int(mask, n),
-            server=self.servers[t],
-            outcome=FrameOutcome(
-                quality=self.quality[t],
-                tx_latency_s=self.tx_s[t],
-                recon_latency_s=self.recon_s[t],
-                total_latency_s=self.total_s[t],
-                effective_mask=mask_from_int(mask & self.availability[t], n),
-                reliable=self.reliable[t],
-            ),
-            camera_reward=self.camera_reward[t],
-            server_reward=self.server_reward[t],
-            camera_epsilon=float(self.camera_epsilon[t]),
-            camera_alpha=float(self.camera_alpha[t]),
-            server_epsilon=float(self.server_epsilon[t]),
-            server_alpha=float(self.server_alpha[t]),
-        )
 
     def mask_strings(self) -> list[str]:
         """The selected mask of every frame as its bitstring."""
@@ -209,6 +160,11 @@ class RunStats:
         self.total_latencies = array("d")
 
     def add(self, record) -> None:
+        """Count one frame.
+
+        ``record`` has the frame's ``outcome`` (a FrameOutcome), its ``mask``
+        as a bitstring, and its ``server``, ``camera_reward`` and ``server_reward``.
+        """
         out = record.outcome
         self.frames += 1
         self.reliable_frames += out.reliable
@@ -216,7 +172,7 @@ class RunStats:
         self.tx_sum += out.tx_latency_s
         self.recon_sum += out.recon_latency_s
         self.total_sum += out.total_latency_s
-        self.camera_subset_histogram[mask_to_str(record.mask)] += 1
+        self.camera_subset_histogram[record.mask] += 1
         self.server_histogram[record.server] += 1
         self.camera_reward_sum += record.camera_reward
         self.server_reward_sum += record.server_reward
@@ -290,63 +246,41 @@ FRAME_LOG_HEADER = (
 )
 
 
-def _frame_log_columns(records) -> tuple:
-    """The FRAME_LOG_HEADER columns of a FrameLog or of any sequence of records."""
-    if isinstance(records, FrameLog):
-        return (range(len(records)), records.mask_strings(), records.servers,
-                records.quality, records.tx_s, records.recon_s, records.total_s,
-                records.camera_reward, records.server_reward, records.reliable)
-    records = list(records)
-    outcomes = [rec.outcome for rec in records]
-    return ([rec.frame for rec in records],
-            [mask_to_str(rec.mask) for rec in records],
-            [rec.server for rec in records],
-            [out.quality for out in outcomes],
-            [out.tx_latency_s for out in outcomes],
-            [out.recon_latency_s for out in outcomes],
-            [out.total_latency_s for out in outcomes],
-            [rec.camera_reward for rec in records],
-            [rec.server_reward for rec in records],
-            [out.reliable for out in outcomes])
-
-
 # Frame, mask and server, six float columns written as their repr, then the reliable flag.
 _FRAME_LOG_ROW = "%s,%s,%s,%r,%r,%r,%r,%r,%r,%s\r\n"
 
 
-def write_frame_log(records, path) -> None:
+def write_frame_log(log: FrameLog, path) -> None:
     """Write the per-frame CSV log; float cells use repr so reloads are lossless."""
-    (frames, masks, servers, quality, tx_s, recon_s, total_s,
-     reward_cam, reward_srv, reliable) = _frame_log_columns(records)
     write_csv_rows(path, FRAME_LOG_HEADER, _FRAME_LOG_ROW, zip(
-        frames, masks, servers,
-        *(map(float, col) for col in (quality, tx_s, recon_s, total_s, reward_cam, reward_srv)),
-        reliable,
+        range(len(log)), log.mask_strings(), log.servers,
+        *(map(float, col) for col in (log.quality, log.tx_s, log.recon_s, log.total_s,
+                                      log.camera_reward, log.server_reward)),
+        log.reliable,
     ))
 
 
 def read_frame_log(path) -> list[dict]:
-    """Parse a per-frame CSV log back into typed row dicts."""
+    """Parse a per-frame CSV log back into typed row dicts.
+
+    Every row must have exactly the header's columns (TraceSchemaError); a
+    cell that does not parse is a TraceFormatError. Both give the line.
+    """
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != FRAME_LOG_HEADER:
-            raise TraceFormatError(f"unexpected frame log header: {reader.fieldnames}", line=1)
+    with closing(read_csv_rows(path)) as reader:
+        header = next(reader, None)
+        if header is None or tuple(header) != FRAME_LOG_HEADER:
+            raise TraceFormatError(f"unexpected frame log header: {header}", line=1)
         for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(FRAME_LOG_HEADER):
+                raise TraceSchemaError(f"{path}: line {lineno} has {len(row)} columns, "
+                                       f"expected {len(FRAME_LOG_HEADER)}")
+            frame, mask, server, *floats, reliable = row
             try:
-                rows.append({
-                    "frame": int(row["frame"]),
-                    "mask": row["mask"],
-                    "server": int(row["server"]),
-                    "quality": float(row["quality"]),
-                    "tx_s": float(row["tx_s"]),
-                    "recon_s": float(row["recon_s"]),
-                    "total_s": float(row["total_s"]),
-                    "reward_cam": float(row["reward_cam"]),
-                    "reward_srv": float(row["reward_srv"]),
-                    "reliable": int(row["reliable"]),
-                })
-            except (TypeError, ValueError) as exc:
+                rows.append({"frame": int(frame), "mask": mask, "server": int(server),
+                             **dict(zip(FRAME_LOG_HEADER[3:9], map(float, floats))),
+                             "reliable": int(reliable)})
+            except ValueError as exc:
                 raise TraceFormatError(str(exc), line=lineno) from exc
     return rows
 

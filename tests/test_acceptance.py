@@ -13,7 +13,6 @@ from edgerecon.config import ExperimentConfig, camera_study_config, server_study
 from edgerecon.controller import build_quality_model, build_traces, run_episode
 from edgerecon.disruption import DisruptionParams, generate_camera_trace, generate_server_trace
 from edgerecon.environment import LatencyModel, step
-from edgerecon.masks import mask_from_int
 from edgerecon.metrics import (RewardWeights, Thresholds, camera_reward, latency_score,
                                quality_score, reliability, server_reward, write_frame_log)
 from edgerecon.policies import (AgentParams, QTable, adapt_params, enumerate_actions, q_update)
@@ -150,9 +149,9 @@ def test_criterion_2_q_update_oracle():
 def test_criterion_3_reliability_recount(tmp_path):
     with criterion(3, "reliability recount"):
         config = camera_study_config(seed=17, n_frames=1000)
-        stats, records = run_episode(config)
+        stats, log = run_episode(config)
         path = tmp_path / "frames.csv"
-        write_frame_log(records, path)
+        write_frame_log(log, path)
         # Independent second pass: raw CSV parsing, integer counting.
         lines = path.read_text().splitlines()
         header = lines[0].split(",")
@@ -268,9 +267,9 @@ def test_criterion_8_determinism(tmp_path):
         for tag, config in (("fixed", fixed), ("stress", stress)):
             blobs = []
             for name in ("one.csv", "two.csv"):
-                _, records = run_episode(config)
+                _, log = run_episode(config)
                 path = tmp_path / f"{tag}_{name}"
-                write_frame_log(records, path)
+                write_frame_log(log, path)
                 blobs.append(path.read_bytes())
             assert blobs[0] == blobs[1], tag
 
@@ -307,7 +306,7 @@ def test_criterion_9_small_scale_oracle():
         oracle = []
         for frame in range(config.n_frames):
             best = 0
-            for mask in (mask_from_int(action, 3) for action in space.actions):
+            for mask in space.actions:
                 for server in range(2):
                     out = step(frame, mask, server, camera_trace, server_trace,
                                quality_model, latency_model, config.thresholds)
@@ -318,9 +317,8 @@ def test_criterion_9_small_scale_oracle():
                     break
             oracle.append(best)
 
-        _, records = run_episode(config, camera_trace=camera_trace,
-                                 server_trace=server_trace)
-        achieved = sum(rec.outcome.reliable for rec in records[50:])
+        _, log = run_episode(config, camera_trace=camera_trace, server_trace=server_trace)
+        achieved = sum(log.reliable[50:])
         attainable = sum(oracle[50:])
         assert attainable > 0
         assert achieved >= 0.6 * attainable, (achieved, attainable)

@@ -139,10 +139,13 @@ class TestRun:
         ("camera_agent:\n  degradation_window: 1" + "0" * 400 + "\n",
          "camera_agent.degradation_window"),
         ("bandit_epsilon: 1" + "0" * 400 + "\n", "bandit_epsilon"),
+        ("n_cameras: 3\nk_max: 3\nquality:\n"
+         "  table: {\"110\": 300.0, \"101\": 300.0, \"011\": 300.0, \"111\": 100.0}\n",
+         "quality.table: quality table not monotone: 111 < 011"),
     ], ids=["weights-length", "negative-weight", "weights-missing", "ceiling", "curve",
             "list-table", "string-table", "negative-table", "huge-noise", "huge-jitter",
             "huge-spike", "infinite-spike", "huge-bump-len", "huge-tx", "huge-recon",
-            "huge-window", "huge-int-real"])
+            "huge-window", "huge-int-real", "non-monotone-table"])
     def test_bad_value_exits_config_error_before_out_exists(self, tmp_path, capsys, text, field):
         # Each of these used to reach the quality model or trace generation
         # (exit 2 or 4 after --out was made, or a trace with inf written).
@@ -154,15 +157,12 @@ class TestRun:
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, message", [
-        ("n_cameras: 3\nk_max: 3\nquality:\n"
-         "  table: {\"110\": 300.0, \"101\": 300.0, \"011\": 300.0, \"111\": 100.0}\n",
-         "quality table not monotone: 111 < 011"),
         ("n_cameras: 3\nk_max: 3\ndisruption:\n  n_bump_events: 10\n"
          "  correlation_groups: [[0, 1], [2]]\n",
          "could not place 10 non-overlapping camera bump events in 20 frames"),
-    ], ids=["non-monotone-table", "unplaceable-bumps"])
+    ], ids=["unplaceable-bumps"])
     def test_episode_error_exits_before_out_exists(self, tmp_path, capsys, text, message):
-        # Both are found only once the episode starts; --out is made after it ends.
+        # Found only once the episode starts; --out is made after it ends.
         config = write_config(tmp_path, "n_frames: 20\nseed: 1\n" + text)
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) \
             == EXIT_CONFIG_ERROR

@@ -9,13 +9,22 @@ products of valid settings can overflow. n_frames is forced to 1-2 and the
 sizes that allocate per frame are kept small, so each example is a short
 episode. Path settings take no strings: a string names a file, and reading
 files is the trace loaders' business (tests/test_trace_io.py).
+
+Through the command line, the same mappings written as YAML either run or
+exit before the output directory exists.
 """
 
+import contextlib
+import io
+import tempfile
 from datetime import timedelta
+from pathlib import Path
 
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from edgerecon.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
 from edgerecon.config import CAMERA_POLICIES, SERVER_POLICIES, config_from_dict
 from edgerecon.controller import run_episode
 from edgerecon.errors import ConfigError
@@ -139,3 +148,16 @@ def test_yaml_mapping_runs_or_is_config_error(raw):
     except ConfigError:
         return
     assert stats.frames == len(log) == config.n_frames
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=1),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(yaml_configs())
+def test_cli_run_succeeds_or_leaves_no_out(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.yaml", Path(tmp) / "out"
+        config.write_text(yaml.safe_dump(raw))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", "--config", str(config), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
+        assert code == EXIT_OK or not out.exists()

@@ -24,12 +24,13 @@ def small_config(**overrides) -> ExperimentConfig:
 
 class TestEpisodeBasics:
     def test_round_robin_composition(self):
-        stats, records = run_episode(small_config(n_frames=8))
-        assert [r.server for r in records] == [0, 1, 2, 3, 0, 1, 2, 3]
+        stats, log = run_episode(small_config(n_frames=8))
+        assert log.servers == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_one_record_per_frame_in_order(self):
-        stats, records = run_episode(small_config())
-        assert [r.frame for r in records] == list(range(50))
+        stats, log = run_episode(small_config())
+        assert len(log) == 50
+        assert {len(column) for column in vars(log).values() if isinstance(column, list)} == {50}
         assert stats.frames == 50
 
     def test_histogram_conservation(self):
@@ -38,16 +39,16 @@ class TestEpisodeBasics:
         assert sum(stats.server_histogram.values()) == 50
 
     def test_masks_respect_bounds(self):
-        _, records = run_episode(small_config(camera_policy="qlearning"))
-        for rec in records:
-            assert 2 <= sum(rec.mask) <= 5
+        _, log = run_episode(small_config(camera_policy="qlearning"))
+        for mask in log.masks:
+            assert 2 <= mask.bit_count() <= 5
 
     def test_epsilon_alpha_recorded_for_learners(self):
-        _, records = run_episode(small_config(camera_policy="adaptive_q"))
-        eps = [r.camera_epsilon for r in records]
+        _, log = run_episode(small_config(camera_policy="adaptive_q"))
+        eps = log.camera_epsilon
         assert eps[0] == pytest.approx(1.0)      # adaptive camera starts fully exploring
         assert eps[-1] < eps[0]                  # and decays
-        assert all(np.isnan(r.server_epsilon) for r in records)   # round-robin has none
+        assert all(np.isnan(e) for e in log.server_epsilon)   # round-robin has none
 
     def test_trace_shorter_than_episode_rejected(self):
         config = small_config()
@@ -67,9 +68,9 @@ class TestDeterminism:
                               n_frames=200)
         paths = []
         for name in ("a.csv", "b.csv"):
-            _, records = run_episode(config)
+            _, log = run_episode(config)
             path = tmp_path / name
-            write_frame_log(records, path)
+            write_frame_log(log, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -116,10 +117,10 @@ class TestCausalityAndDelay:
 
     def test_state_tracks_mask_size(self):
         spy = _SpyServerPolicy(4)
-        _, records = run_episode(small_config(n_frames=12, camera_policy="qlearning"),
-                                 server_policy=spy)
-        for frame, rec in enumerate(records):
-            assert spy.seen_states[frame].n_selected == sum(rec.mask)
+        _, log = run_episode(small_config(n_frames=12, camera_policy="qlearning"),
+                             server_policy=spy)
+        for frame, mask in enumerate(log.masks):
+            assert spy.seen_states[frame].n_selected == mask.bit_count()
 
     def test_zero_delay_learns_same_step(self):
         spy = _SpyServerPolicy(4)
@@ -151,7 +152,7 @@ class TestCausalityAndDelay:
                              server_policy=spy)
         for i, (_step, state, _action, _reward, next_state, _total) in enumerate(spy.learn_calls):
             assert next_state == spy.seen_states[i + 1]
-            assert next_state == (sum(log[i + 1].mask), log.servers[i])
+            assert next_state == (log.masks[i + 1].bit_count(), log.servers[i])
 
     @pytest.mark.parametrize("delay", [0, 2])
     def test_server_states_are_shared_across_frames(self, delay):
@@ -167,10 +168,10 @@ class TestCausalityAndDelay:
 
 class TestGreedy3Integration:
     def test_cold_start_runs_through_all_triples(self):
-        _, records = run_episode(small_config(camera_policy="greedy3", n_frames=15))
-        first_ten = {rec.mask for rec in records[:10]}
+        _, log = run_episode(small_config(camera_policy="greedy3", n_frames=15))
+        first_ten = set(log.masks[:10])
         assert len(first_ten) == 10
-        assert all(sum(m) == 3 for m in first_ten)
+        assert all(m.bit_count() == 3 for m in first_ten)
 
     def test_greedy3_learns_from_quality(self):
         policy = GreedyTripletCameraPolicy(5)
@@ -256,9 +257,11 @@ class TestQualityTraceMode:
         traced.quality.mode = "trace"
         traced.quality.trace_path = str(path)
 
-        stats_a, records_a = run_episode(base)
-        stats_b, records_b = run_episode(traced)
-        assert [r.outcome for r in records_a] == [r.outcome for r in records_b]
+        stats_a, log_a = run_episode(base)
+        stats_b, log_b = run_episode(traced)
+        for column in ("masks", "availability", "quality", "tx_s", "recon_s", "total_s",
+                       "reliable"):
+            assert getattr(log_a, column) == getattr(log_b, column)
         assert stats_a.reliability_pct == stats_b.reliability_pct
 
 

@@ -2,17 +2,17 @@
 
 The reference is the object-per-frame loop the engine replaced: it calls
 ``environment.step``, ``camera_reward``, ``server_reward`` and
-``RunStats.add`` once per frame and queues delayed feedback in a deque. On
-random small configs both must produce the same frames, statistics, frame
-log bytes and learned policy state, and raise the same errors when a policy
-or a quality table misbehaves.
+``RunStats.add`` once per frame, queues delayed feedback in a deque and
+builds its own FrameLog column by column. On random small configs both must
+produce the same frames, statistics, frame log bytes and learned policy
+state, and raise the same errors when a policy or a quality table misbehaves.
 """
 
 import csv
-import dataclasses
 import tempfile
 from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,8 +26,8 @@ from edgerecon.controller import (_CAMERA_POLICY_STREAM, _ENV_STREAM, _SERVER_PO
 from edgerecon.disruption import DisruptionParams
 from edgerecon.environment import MIN_VIEWS, LatencyModel, step
 from edgerecon.errors import ConfigError
-from edgerecon.masks import bitstring, mask_from_int, mask_to_str, subsets
-from edgerecon.metrics import (FrameRecord, RunStats, Thresholds, camera_reward, server_reward,
+from edgerecon.masks import bitstring, mask_from_str, subsets
+from edgerecon.metrics import (FrameLog, RunStats, Thresholds, camera_reward, server_reward,
                                write_frame_log)
 from edgerecon.policies import (DegradationDetector, QTable, RoundRobinServerPolicy, ServerState,
                                 enumerate_actions)
@@ -37,8 +37,9 @@ from references import synthetic_quality_table
 def reference_episode(config, camera_policy, server_policy):
     """One episode, frame by frame through the single-frame reference functions.
 
-    Each integer mask a policy picks is converted to the tuple form ``step``
-    takes; a mask that does not fit the camera count fails there.
+    Returns the stats, the frame log and the effective mask ``step`` gave for
+    each frame. A mask that does not fit the camera count fails in ``step``.
+    The log's availability column is read from the trace's 0/1 text.
     """
     config.validate()
     camera_trace, server_trace = build_traces(config)
@@ -48,30 +49,39 @@ def reference_episode(config, camera_policy, server_policy):
     rng_srv = np.random.default_rng([config.seed, _SERVER_POLICY_STREAM])
     delay = config.feedback_delay_frames
     pending = deque()          # [frame, mask, state, server, r_cam, r_srv, outcome, next_state]
-    records = []
+    log = FrameLog(config.n_cameras, [])
+    effective = []
     stats = RunStats()
+    nan = float("nan")
     prev_server = INITIAL_SERVER
     for frame in range(config.n_frames):
         sel = camera_policy.select(rng_cam)
-        mask = mask_from_int(sel, config.n_cameras)
-        state = ServerState(sum(mask), prev_server)
+        state = ServerState(sel.bit_count(), prev_server)
         if pending and pending[-1][7] is None:
             pending[-1][7] = state
         server = server_policy.select(frame, state, rng_srv)
-        outcome = step(frame, mask, server, camera_trace, server_trace, quality_model,
+        outcome = step(frame, sel, server, camera_trace, server_trace, quality_model,
                        config.latency, config.thresholds, k_min=config.k_min,
                        k_max=config.k_max, rng=rng_env)
         r_cam = camera_reward(outcome, config.thresholds, config.weights)
         r_srv = server_reward(outcome, config.thresholds)
-        record = FrameRecord(
-            frame, mask, server, outcome, r_cam, r_srv,
-            float(getattr(camera_policy, "epsilon", float("nan"))),
-            float(getattr(camera_policy, "alpha", float("nan"))),
-            float(getattr(server_policy, "epsilon", float("nan"))),
-            float(getattr(server_policy, "alpha", float("nan"))),
-        )
-        records.append(record)
-        stats.add(record)
+        log.availability.append(mask_from_str("".join(map(str, camera_trace.availability[frame]))))
+        log.masks.append(sel)
+        log.servers.append(server)
+        log.quality.append(outcome.quality)
+        log.tx_s.append(outcome.tx_latency_s)
+        log.recon_s.append(outcome.recon_latency_s)
+        log.total_s.append(outcome.total_latency_s)
+        log.reliable.append(outcome.reliable)
+        log.camera_reward.append(r_cam)
+        log.server_reward.append(r_srv)
+        log.camera_epsilon.append(getattr(camera_policy, "epsilon", nan))
+        log.camera_alpha.append(getattr(camera_policy, "alpha", nan))
+        log.server_epsilon.append(getattr(server_policy, "epsilon", nan))
+        log.server_alpha.append(getattr(server_policy, "alpha", nan))
+        effective.append(outcome.effective_mask)
+        stats.add(SimpleNamespace(outcome=outcome, mask=bitstring(sel, config.n_cameras),
+                                  server=server, camera_reward=r_cam, server_reward=r_srv))
         pending.append([frame, sel, state, server, r_cam, r_srv, outcome, None])
         while pending and pending[0][0] + delay <= frame:
             t, fb_sel, fb_state, fb_server, fb_cam, fb_srv, fb_out, nxt = pending.popleft()
@@ -80,7 +90,7 @@ def reference_episode(config, camera_policy, server_policy):
             camera_policy.learn(fb_sel, fb_cam, quality=fb_out.quality)
             server_policy.learn(fb_state, fb_server, fb_srv, nxt, fb_out.total_latency_s)
         prev_server = server
-    return stats, records
+    return stats, log, effective
 
 
 def policies(config):
@@ -103,9 +113,9 @@ def policy_state(policy) -> dict:
     return state
 
 
-def record_key(record) -> str:
+def columns(log) -> str:
     # repr keeps every float exactly and makes NaN compare equal to NaN.
-    return repr(dataclasses.astuple(record))
+    return repr(vars(log))
 
 
 def write_quality_trace_csv(path: Path, n_cameras: int, n_frames: int, seed: int) -> None:
@@ -136,9 +146,8 @@ def small_configs(draw):
     # An explicit table: every subset, or only those a selection within k_max can leave.
     table = draw(st.sampled_from([None, n, k_max]))
     if table is not None:
-        table = {mask_to_str(mask): value
-                 for mask, value in synthetic_quality_table(n, weights).items()
-                 if sum(mask) <= table}
+        table = {mask: value for mask, value in synthetic_quality_table(n, weights).items()
+                 if mask.count("1") <= table}
     config = ExperimentConfig(
         n_frames=n_frames, n_cameras=n, n_servers=n_servers, k_min=k_min, k_max=k_max,
         seed=seed,
@@ -179,7 +188,7 @@ def test_engine_matches_reference_loop(case):
         ref_cam, ref_srv = policies(config)
         cam, srv = policies(config)
         try:
-            ref_stats, ref_records = reference_episode(config, ref_cam, ref_srv)
+            ref_stats, ref_log, ref_effective = reference_episode(config, ref_cam, ref_srv)
         except ConfigError:
             # E.g. events that cannot be placed without overlap: the engine
             # must reject the config the same way.
@@ -188,13 +197,14 @@ def test_engine_matches_reference_loop(case):
             return
         stats, log = run_episode(config, camera_policy=cam, server_policy=srv)
 
-        assert len(log) == len(ref_records)
-        assert [record_key(r) for r in log] == [record_key(r) for r in ref_records]
+        assert len(log) == len(ref_log)
+        assert columns(log) == columns(ref_log)
+        assert [m & a for m, a in zip(log.masks, log.availability)] == ref_effective
         assert vars(stats) == vars(ref_stats)
         assert policy_state(cam) == policy_state(ref_cam)
         assert policy_state(srv) == policy_state(ref_srv)
         write_frame_log(log, tmp / "engine.csv")
-        write_frame_log(ref_records, tmp / "reference.csv")
+        write_frame_log(ref_log, tmp / "reference.csv")
         assert (tmp / "engine.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
 
 

@@ -7,10 +7,9 @@ from edgerecon.disruption import CameraTrace, DisruptionParams, ServerLatencyTra
 from edgerecon.environment import (MIN_VIEWS, LatencyModel, QualityModel, load_quality_trace,
                                    step, write_quality_trace)
 from edgerecon.errors import ConfigError, TraceFormatError, TraceSchemaError
-from edgerecon.masks import (MAX_CAMERAS, bitstring, mask_from_int, mask_from_str, mask_to_int,
-                             mask_to_str, subsets)
+from edgerecon.masks import MAX_CAMERAS, bitstring, mask_from_str, subsets
 from edgerecon.metrics import Thresholds
-from references import synthetic_quality_table, tuple_subsets
+from references import synthetic_quality_table
 
 THR = Thresholds(theta=400.0, phi_total_s=3.0, phi_recon_s=1.0)
 
@@ -23,28 +22,26 @@ def clean_traces(frames=20, n_cameras=3, n_servers=2, latency_ms=150.0):
 
 def table3(base_full=600.0):
     # Explicit monotone table for 3 cameras.
-    return {
-        (0, 1, 1): 350.0, (1, 0, 1): 360.0, (1, 1, 0): 370.0,
-        (1, 1, 1): base_full,
-    }
+    return {"011": 350.0, "101": 360.0, "110": 370.0, "111": base_full}
 
 
 class TestMaskHelpers:
     def test_round_trip(self):
-        assert mask_from_str("01101") == (0, 1, 1, 0, 1)
-        assert mask_to_str((0, 1, 1, 0, 1)) == "01101"
+        assert mask_from_str("01101") == 0b01101
+        assert bitstring(0b01101, 5) == "01101"
 
     def test_bad_string(self):
-        with pytest.raises(ValueError):
-            mask_from_str("01201")
+        for text in ("01201", "", " 11", "1_1", "+11"):
+            with pytest.raises(ValueError):
+                mask_from_str(text)
 
     def test_apply_availability(self):
         # step drops the cameras that the frame's availability row marks as down.
         camera, server = clean_traces()
         camera.availability[0] = (1, 0, 1)
         model = QualityModel.synthetic(3, table=table3())
-        out = step(0, (1, 1, 0), 0, camera, server, model, LatencyModel(), THR)
-        assert out.effective_mask == (1, 0, 0)
+        out = step(0, 0b110, 0, camera, server, model, LatencyModel(), THR)
+        assert out.effective_mask == 0b100
 
     def test_enumeration_size(self):
         # For 5 cameras: C(5,2)+C(5,3)+C(5,4)+C(5,5) = 26 subsets of >= 2 views.
@@ -53,24 +50,24 @@ class TestMaskHelpers:
     def test_integer_round_trip(self):
         for n in range(1, 7):
             for value in range(1 << n):
-                mask = mask_from_int(value, n)
-                assert len(mask) == n
-                assert mask_to_int(mask) == value
-                assert mask_to_str(mask) == bitstring(value, n)
+                text = bitstring(value, n)
+                assert len(text) == n
+                assert mask_from_str(text) == value
         assert bitstring(0b01011, 5) == "01011"
 
     @pytest.mark.parametrize("value", [0b100011, 1 << 5, -1, -(1 << 5)])
-    def test_mask_from_int_rejects_out_of_range(self, value):
+    def test_step_rejects_mask_out_of_range(self, value):
+        camera, server = clean_traces(n_cameras=5)
         with pytest.raises(ValueError, match=str(value)):
-            mask_from_int(value, 5)
+            step(0, value, 0, camera, server, QualityModel.synthetic(5), LatencyModel(), THR)
 
 
 class TestSyntheticTable:
     def test_default_shape_matches_design_targets(self):
         table = synthetic_quality_table(5)
-        full = table[(1, 1, 1, 1, 1)]
-        pairs = [v for m, v in table.items() if sum(m) == 2]
-        triples = [v for m, v in table.items() if sum(m) == 3]
+        full = table["11111"]
+        pairs = [v for m, v in table.items() if m.count("1") == 2]
+        triples = [v for m, v in table.items() if m.count("1") == 3]
         assert full == pytest.approx(658, abs=2)
         assert 255 <= min(pairs) and max(pairs) <= 300
         assert 540 <= min(triples) and max(triples) <= 580
@@ -79,9 +76,9 @@ class TestSyntheticTable:
         table = synthetic_quality_table(5)
         for mask, base in table.items():
             for cam in range(5):
-                if mask[cam]:
+                if mask[cam] == "1":
                     continue
-                grown = tuple(1 if i == cam else b for i, b in enumerate(mask))
+                grown = mask[:cam] + "1" + mask[cam + 1:]
                 assert table[grown] >= base
 
     def test_overflowing_exponent_takes_the_logistic_limit(self):
@@ -97,9 +94,17 @@ class TestSyntheticTable:
 
     def test_non_monotone_explicit_table_rejected(self):
         bad = table3()
-        bad[(1, 1, 1)] = 100.0   # smaller than its subsets
+        bad["111"] = 100.0   # smaller than its subsets
         with pytest.raises(ConfigError, match="monotone"):
             QualityModel.synthetic(3, table=bad)
+
+    @pytest.mark.parametrize("key", ["11x", "11", "1111", (1, 1, -1), (1, 1, 2)],
+                             ids=["letter", "short", "long", "tuple-negative", "tuple-two"])
+    def test_bad_table_key_rejected(self, key):
+        # A key that is not a 3-character bitstring names no mask, so it
+        # must not land on one.
+        with pytest.raises(ConfigError, match="key"):
+            QualityModel.synthetic(3, table={**table3(), key: 650.0})
 
     def test_dense_table_equals_dict_table(self):
         # QualityModel.synthetic builds its table over integer masks; every
@@ -110,7 +115,7 @@ class TestSyntheticTable:
         for n, weights in cases:
             expected = np.full(1 << n, np.nan)
             for mask, value in synthetic_quality_table(n, weights).items():
-                expected[mask_to_int(mask)] = value
+                expected[mask_from_str(mask)] = value
             model = QualityModel.synthetic(n, camera_weights=weights)
             assert model.table.tobytes() == expected.tobytes(), (n, weights)
 
@@ -133,7 +138,7 @@ class TestSyntheticTable:
         with pytest.raises(ConfigError, match="n_cameras"):
             QualityModel.synthetic(n, camera_weights=[0.5] * n)
         with pytest.raises(ConfigError, match="n_cameras"):
-            QualityModel.synthetic(n, table={(1,) * n: 600.0})
+            QualityModel.synthetic(n, table={"1" * n: 600.0})
         with pytest.raises(ConfigError, match="n_cameras"):
             QualityModel(np.zeros(1 << n))
         assert time.perf_counter() - start < 0.5
@@ -153,15 +158,15 @@ class TestStep:
         camera, server = clean_traces()
         camera.availability[4] = 0
         model = QualityModel.synthetic(3, table=table3())
-        out = step(4, (1, 1, 1), 0, camera, server, model, LatencyModel(), THR)
-        assert out.effective_mask == (0, 0, 0)
+        out = step(4, 0b111, 0, camera, server, model, LatencyModel(), THR)
+        assert out.effective_mask == 0
         assert out.quality == 0.0
         assert out.reliable == 0
 
     def test_noise_free_known_values(self):
         camera, server = clean_traces()
         model = QualityModel.synthetic(3, table=table3(600.0))
-        out = step(0, (1, 1, 1), 0, camera, server, model, LatencyModel(), THR)
+        out = step(0, 0b111, 0, camera, server, model, LatencyModel(), THR)
         assert out.quality == 600.0
         # 3 images: tx = 3*350ms + 150ms network = 1.2s; recon = 400 + 3*120 = 760ms.
         assert out.tx_latency_s == pytest.approx(1.2)
@@ -172,12 +177,12 @@ class TestStep:
     def test_spike_pushes_past_total_budget(self):
         # Base latencies ~2.2s (tx 1.05 + network 0.4 + recon 0.76); +1s spike breaks 3s.
         camera, server = clean_traces(latency_ms=400.0)
-        baseline = step(7, (1, 1, 1), 1, camera, server,
+        baseline = step(7, 0b111, 1, camera, server,
                         QualityModel.synthetic(3, table=table3()), LatencyModel(), THR)
         assert baseline.total_latency_s == pytest.approx(2.21)
         assert baseline.reliable == 1
         server.latency_ms[7, 1] += 1000.0
-        out = step(7, (1, 1, 1), 1, camera, server,
+        out = step(7, 0b111, 1, camera, server,
                    QualityModel.synthetic(3, table=table3()), LatencyModel(), THR)
         assert out.total_latency_s > 3.0
         assert out.reliable == 0
@@ -187,49 +192,49 @@ class TestStep:
         camera.availability[0, 0] = 0
         camera.availability[0, 1] = 0
         model = QualityModel.synthetic(3, table=table3())
-        out = step(0, (1, 1, 0), 0, camera, server, model, LatencyModel(), THR,
+        out = step(0, 0b110, 0, camera, server, model, LatencyModel(), THR,
                    k_min=2, k_max=3)
-        assert sum(out.effective_mask) < MIN_VIEWS
+        assert out.effective_mask.bit_count() < MIN_VIEWS
         assert out.quality == 0.0
 
     def test_noise_free_is_pure(self):
         camera, server = clean_traces()
         model = QualityModel.synthetic(3, table=table3())
-        a = step(3, (1, 0, 1), 1, camera, server, model, LatencyModel(), THR)
-        b = step(3, (1, 0, 1), 1, camera, server, model, LatencyModel(), THR)
+        a = step(3, 0b101, 1, camera, server, model, LatencyModel(), THR)
+        b = step(3, 0b101, 1, camera, server, model, LatencyModel(), THR)
         assert a == b
 
     def test_noise_requires_rng(self):
         camera, server = clean_traces()
         model = QualityModel.synthetic(3, noise_sd=10.0, table=table3())
         with pytest.raises(ValueError, match="rng"):
-            step(0, (1, 1, 1), 0, camera, server, model, LatencyModel(), THR)
+            step(0, 0b111, 0, camera, server, model, LatencyModel(), THR)
 
     def test_noise_clamped_at_zero(self):
         camera, server = clean_traces()
         model = QualityModel.synthetic(3, noise_sd=500.0, table={k: 1.0 for k in table3()})
         rng = np.random.default_rng(0)
         for frame in range(10):
-            out = step(frame, (1, 1, 1), 0, camera, server, model, LatencyModel(), THR, rng=rng)
+            out = step(frame, 0b111, 0, camera, server, model, LatencyModel(), THR, rng=rng)
             assert out.quality >= 0.0
 
     def test_quality_monotone_noise_free(self):
         camera, server = clean_traces(n_cameras=5)
         model = QualityModel.synthetic(5)
-        masks = tuple_subsets(5, MIN_VIEWS, 5)
+        masks = subsets(5, MIN_VIEWS, 5)
         results = {}
         for mask in masks:
             results[mask] = step(0, mask, 0, camera, server, model, LatencyModel(), THR).quality
         for small in masks:
             for big in masks:
-                if all(s <= b for s, b in zip(small, big)):
+                if small & big == small:
                     assert results[small] <= results[big] + 1e-9
 
     def test_latency_monotone_in_cameras(self):
         camera, server = clean_traces(n_cameras=5)
         model = QualityModel.synthetic(5)
         prev_tx = prev_recon = -1.0
-        for mask in [(1, 1, 0, 0, 0), (1, 1, 1, 0, 0), (1, 1, 1, 1, 0), (1, 1, 1, 1, 1)]:
+        for mask in [0b11000, 0b11100, 0b11110, 0b11111]:
             out = step(0, mask, 0, camera, server, model, LatencyModel(), THR)
             assert out.tx_latency_s > prev_tx
             assert out.recon_latency_s > prev_recon
@@ -240,8 +245,8 @@ class TestStep:
         camera, server = clean_traces(n_cameras=5)
         camera.availability[2, 4] = 0
         model = QualityModel.synthetic(5)
-        with_cam = step(2, (1, 1, 1, 0, 1), 0, camera, server, model, LatencyModel(), THR)
-        without = step(2, (1, 1, 1, 0, 0), 0, camera, server, model, LatencyModel(), THR)
+        with_cam = step(2, 0b11101, 0, camera, server, model, LatencyModel(), THR)
+        without = step(2, 0b11100, 0, camera, server, model, LatencyModel(), THR)
         assert with_cam.quality == without.quality
         assert with_cam.tx_latency_s == without.tx_latency_s
         assert with_cam.recon_latency_s == without.recon_latency_s
@@ -250,8 +255,8 @@ class TestStep:
         camera, server = clean_traces()
         model = QualityModel.synthetic(3, table=table3())
         lat = LatencyModel(server_speed_factor=(1.0, 2.0))
-        fast = step(0, (1, 1, 1), 0, camera, server, model, lat, THR)
-        slow = step(0, (1, 1, 1), 1, camera, server, model, lat, THR)
+        fast = step(0, 0b111, 0, camera, server, model, lat, THR)
+        slow = step(0, 0b111, 1, camera, server, model, lat, THR)
         assert slow.recon_latency_s == pytest.approx(2 * fast.recon_latency_s)
         assert slow.tx_latency_s == fast.tx_latency_s
 
@@ -259,25 +264,25 @@ class TestStep:
         camera, server = clean_traces(frames=5)
         model = QualityModel.synthetic(3, table=table3())
         with pytest.raises(IndexError, match="frame"):
-            step(5, (1, 1, 1), 0, camera, server, model, LatencyModel(), THR)
+            step(5, 0b111, 0, camera, server, model, LatencyModel(), THR)
 
     def test_server_out_of_range(self):
         camera, server = clean_traces(n_servers=2)
         model = QualityModel.synthetic(3, table=table3())
         with pytest.raises(IndexError, match="server"):
-            step(0, (1, 1, 1), 2, camera, server, model, LatencyModel(), THR)
+            step(0, 0b111, 2, camera, server, model, LatencyModel(), THR)
 
     def test_mask_width_checked(self):
         camera, server = clean_traces(n_cameras=3)
         model = QualityModel.synthetic(3, table=table3())
-        with pytest.raises(ValueError, match="bits"):
-            step(0, (1, 1, 1, 1), 0, camera, server, model, LatencyModel(), THR)
+        with pytest.raises(ValueError, match="3-bit"):
+            step(0, 0b1111, 0, camera, server, model, LatencyModel(), THR)
 
     def test_subset_bounds_contract(self):
         camera, server = clean_traces()
         model = QualityModel.synthetic(3, table=table3())
         with pytest.raises(ValueError, match="bounds"):
-            step(0, (1, 0, 0), 0, camera, server, model, LatencyModel(), THR, k_min=2, k_max=3)
+            step(0, 0b100, 0, camera, server, model, LatencyModel(), THR, k_min=2, k_max=3)
 
 
 class TestQualityTraceIO:
@@ -287,7 +292,7 @@ class TestQualityTraceIO:
         write_quality_trace(path, model, n_frames=4)
         loaded = load_quality_trace(path, n_cameras=5)
         assert loaded.noise_sd == 0.0
-        for mask in tuple_subsets(5, MIN_VIEWS, 5):
+        for mask in subsets(5, MIN_VIEWS, 5):
             assert loaded.base_quality(2, mask) == model.base_quality(0, mask)
 
     def test_missing_column_listed(self, tmp_path):
@@ -362,7 +367,7 @@ class TestQualityTraceIO:
         write_quality_trace(path, synth, n_frames=6)
         traced = load_quality_trace(path, n_cameras=5)
         for frame in range(6):
-            for mask in [(1, 1, 0, 0, 0), (1, 0, 1, 1, 0), (1, 1, 1, 1, 1)]:
+            for mask in [0b11000, 0b10110, 0b11111]:
                 a = step(frame, mask, 0, camera, server, synth, LatencyModel(), THR)
                 b = step(frame, mask, 0, camera, server, traced, LatencyModel(), THR)
                 assert a == b
@@ -382,7 +387,7 @@ class TestTraceIntegration:
         event = next(e for e in trace.events if len(e.cameras) == 2)
         server = ServerLatencyTrace(latency_ms=np.full((trace.frames, 4), 150.0))
         model = QualityModel.synthetic(5)
-        mask = tuple(1 if i in event.cameras else 0 for i in range(5))
+        mask = sum(1 << (4 - cam) for cam in event.cameras)
         out = step(event.start, mask, 0, trace, server, model, LatencyModel(), THR,
                    k_min=2, k_max=5)
         assert out.quality == 0.0

@@ -64,9 +64,8 @@ def run_api_case(config, out: Path) -> None:
     space = enumerate_actions(config.n_cameras, config.k_min, config.k_max)
     camera_policy = build_camera_policy(config, space)
     server_policy = build_server_policy(config)
-    stats, records = run_episode(config, camera_policy=camera_policy,
-                                 server_policy=server_policy)
-    write_frame_log(records, out / "frames.csv")
+    stats, log = run_episode(config, camera_policy=camera_policy, server_policy=server_policy)
+    write_frame_log(log, out / "frames.csv")
     write_summary(stats, out / "summary.json")
     _snapshot(camera_policy, out / "qtable_camera.json")
     _snapshot(server_policy, out / "qtable_server.json")

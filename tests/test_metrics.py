@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgerecon.errors import ConfigError
-from edgerecon.metrics import (RewardWeights, RunStats, Thresholds, camera_reward, latency_score,
-                               quality_score, read_frame_log, recount_reliability, reliability,
-                               server_reward, write_frame_log)
+from edgerecon.errors import ConfigError, TraceFormatError, TraceSchemaError
+from edgerecon.metrics import (FRAME_LOG_HEADER, FrameLog, RewardWeights, RunStats, Thresholds,
+                               camera_reward, latency_score, quality_score, read_frame_log,
+                               recount_reliability, reliability, server_reward, write_frame_log)
 
 
 @dataclass(frozen=True)
@@ -18,24 +18,40 @@ class FakeOutcome:
     tx_latency_s: float
     recon_latency_s: float
     total_latency_s: float
-    effective_mask: tuple
+    effective_mask: int
     reliable: int
 
 
 @dataclass(frozen=True)
 class FakeRecord:
     frame: int
-    mask: tuple
+    mask: str
     server: int
     outcome: FakeOutcome
     camera_reward: float
     server_reward: float
 
 
-def make_record(frame=0, mask=(1, 1, 0), server=0, quality=500.0, tx=1.0, recon=0.5,
+def make_record(frame=0, mask="110", server=0, quality=500.0, tx=1.0, recon=0.5,
                 reliable=1, r_cam=0.6, r_srv=0.4):
-    out = FakeOutcome(quality, tx, recon, tx + recon, mask, reliable)
+    out = FakeOutcome(quality, tx, recon, tx + recon, int(mask, 2), reliable)
     return FakeRecord(frame, mask, server, out, r_cam, r_srv)
+
+
+def make_log(n_frames):
+    """A 3-camera FrameLog of n_frames frames that all select cameras 0 and 1."""
+    log = FrameLog(3, [0b111] * n_frames)
+    for i in range(n_frames):
+        log.masks.append(0b110)
+        log.servers.append(i % 2)
+        log.quality.append(123.456 + i)
+        log.tx_s.append(1.0)
+        log.recon_s.append(0.5)
+        log.total_s.append(1.5)
+        log.reliable.append(i % 2)
+        log.camera_reward.append(0.6)
+        log.server_reward.append(0.4)
+    return log
 
 
 class TestQualityScore:
@@ -70,38 +86,38 @@ class TestLatencyScore:
 
 class TestCameraReward:
     def test_both_scores_saturate(self):
-        out = FakeOutcome(400.0, 0.0, 0.0, 0.0, (1, 1), 1)
+        out = FakeOutcome(400.0, 0.0, 0.0, 0.0, 0b11, 1)
         assert camera_reward(out, Thresholds(), RewardWeights()) == 1.0
 
     def test_midpoint_arithmetic(self):
-        out = FakeOutcome(200.0, 0.0, 0.5, 0.5, (1, 1), 0)
+        out = FakeOutcome(200.0, 0.0, 0.5, 0.5, 0b11, 0)
         got = camera_reward(out, Thresholds(), RewardWeights(0.5, 0.5))
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_weights_reduce_to_quality(self):
-        out = FakeOutcome(123.0, 0.2, 0.9, 1.1, (1, 1), 0)
+        out = FakeOutcome(123.0, 0.2, 0.9, 1.1, 0b11, 0)
         got = camera_reward(out, Thresholds(), RewardWeights(1.0, 0.0))
         assert got == quality_score(123.0, 400.0)
 
     def test_uses_recon_latency_not_total(self):
         # Same recon latency, wildly different tx: camera reward must not move.
-        a = FakeOutcome(500.0, 0.1, 0.5, 0.6, (1, 1), 1)
-        b = FakeOutcome(500.0, 9.0, 0.5, 9.5, (1, 1), 0)
+        a = FakeOutcome(500.0, 0.1, 0.5, 0.6, 0b11, 1)
+        b = FakeOutcome(500.0, 9.0, 0.5, 9.5, 0b11, 0)
         thr, w = Thresholds(), RewardWeights()
         assert camera_reward(a, thr, w) == camera_reward(b, thr, w)
 
 
 class TestServerReward:
     def test_zero(self):
-        out = FakeOutcome(0.0, 0.0, 0.0, 0.0, (1, 1), 0)
+        out = FakeOutcome(0.0, 0.0, 0.0, 0.0, 0b11, 0)
         assert server_reward(out, Thresholds()) == 1.0
 
     def test_at_budget(self):
-        out = FakeOutcome(0.0, 1.5, 1.5, 3.0, (1, 1), 0)
+        out = FakeOutcome(0.0, 1.5, 1.5, 3.0, 0b11, 0)
         assert server_reward(out, Thresholds()) == 0.0
 
     def test_midpoint(self):
-        out = FakeOutcome(0.0, 1.0, 0.5, 1.5, (1, 1), 0)
+        out = FakeOutcome(0.0, 1.0, 0.5, 1.5, 0b11, 0)
         assert server_reward(out, Thresholds()) == 0.5
 
 
@@ -168,7 +184,7 @@ def test_latency_score_antitone(l1, l2, phi):
 def test_reliable_implies_reward_at_least_w1(q, recon, tx, w1):
     thr = Thresholds()
     weights = RewardWeights(w1, 1.0 - w1)
-    out = FakeOutcome(q, tx, recon, tx + recon, (1, 1),
+    out = FakeOutcome(q, tx, recon, tx + recon, 0b11,
                       reliability(q, tx + recon, recon, thr))
     reward = camera_reward(out, thr, weights)
     assert 0.0 <= reward <= 1.0
@@ -193,7 +209,7 @@ class TestRunStats:
     def test_histograms_account_for_every_frame(self):
         stats = RunStats()
         for i in range(10):
-            stats.add(make_record(frame=i, mask=(1, i % 2, 0), server=i % 3))
+            stats.add(make_record(frame=i, mask=f"1{i % 2}0", server=i % 3))
         assert sum(stats.camera_subset_histogram.values()) == 10
         assert sum(stats.server_histogram.values()) == 10
 
@@ -228,16 +244,41 @@ class TestRunStats:
 
 class TestFrameLogIO:
     def test_round_trip(self, tmp_path):
-        records = [make_record(frame=i, quality=123.456 + i, reliable=i % 2) for i in range(5)]
+        log = make_log(5)
         path = tmp_path / "frames.csv"
-        write_frame_log(records, path)
+        write_frame_log(log, path)
         rows = read_frame_log(path)
         assert len(rows) == 5
-        assert rows[3]["quality"] == records[3].outcome.quality
+        assert rows[3]["quality"] == log.quality[3]
         assert rows[3]["mask"] == "110"
         reliable, total = recount_reliability(path)
         assert total == 5
-        assert reliable == sum(r.outcome.reliable for r in records)
+        assert reliable == sum(log.reliable)
+
+    @pytest.mark.parametrize("index, edit, error", [
+        (3, lambda row: [row + ",1"], TraceSchemaError),
+        (2, lambda row: [row.rpartition(",")[0]], TraceSchemaError),
+        (3, lambda row: ["", row], TraceSchemaError),
+        (5, lambda row: ["\xff"], TraceFormatError),
+        (2, lambda row: [row.replace("0.5", "x")], TraceFormatError),
+    ], ids=["extra-column", "missing-column", "blank-line", "undecodable-byte", "bad-cell"])
+    def test_malformed_row_names_its_line(self, tmp_path, index, edit, error):
+        # Line index + 1 of the file is the first one the edit changes.
+        path = tmp_path / "frames.csv"
+        write_frame_log(make_log(5), path)
+        lines = path.read_bytes().decode("latin-1").split("\r\n")
+        lines[index:index + 1] = edit(lines[index])
+        path.write_bytes("\r\n".join(lines).encode("latin-1"))
+        for read in (read_frame_log, recount_reliability):
+            with pytest.raises(error, match=f"line {index + 1}"):
+                read(path)
+
+    def test_header_checked(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        for text in ("", ",".join(FRAME_LOG_HEADER[:-1]) + "\r\n"):
+            path.write_text(text)
+            with pytest.raises(TraceFormatError, match="line 1"):
+                read_frame_log(path)
 
     def test_summary_fields(self):
         stats = RunStats()

@@ -10,13 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgerecon.errors import ConfigError
-from edgerecon.masks import MAX_CAMERAS, bitstring, mask_to_int
+from edgerecon.masks import MAX_CAMERAS, bitstring, mask_from_str
 from edgerecon.policies import (ActionSpace, AgentParams, BanditCameraPolicy, DegradationDetector,
                                 GreedyTripletCameraPolicy, LatencyGreedyServerPolicy, QTable,
                                 QLearningCameraPolicy, QLearningServerPolicy, RandomCameraPolicy,
                                 RoundRobinServerPolicy, ServerState, adapt_params,
                                 detect_degradation, enumerate_actions, epsilon_greedy, q_update)
-from references import min_max_adapt_params, tuple_subsets
+from references import bitstring_subsets, min_max_adapt_params
 
 # chi-square critical values at the 99.9th percentile
 CHI2_DF9_999 = 27.88
@@ -48,7 +48,7 @@ class TestActionSpace:
         n = data.draw(st.integers(1, 12))
         k_min = data.draw(st.integers(1, n))
         k_max = data.draw(st.integers(k_min, n))
-        expected = tuple(mask_to_int(m) for m in tuple_subsets(n, k_min, k_max))
+        expected = tuple(mask_from_str(m) for m in bitstring_subsets(n, k_min, k_max))
         assert enumerate_actions(n, k_min, k_max).actions == expected
 
     def test_index_inverts_actions(self):

@@ -110,9 +110,9 @@ class TestBuildReport:
 
         config = ExperimentConfig(n_frames=150, seed=8, camera_policy="qlearning",
                                   server_policy="round_robin")
-        stats, records = run_episode(config)
+        stats, log = run_episode(config)
         path = tmp_path / "frames.csv"
-        write_frame_log(records, path)
+        write_frame_log(log, path)
         rows = read_frame_log(path)
         n = len(rows)
         expected_cells = [

@@ -12,26 +12,26 @@ class TestServerStressScenario:
         config = server_study_config(seed=1)
         config.server_policy = "latency_greedy"
         config.server_agent = None
-        _, records = run_episode(config)
-        late = [r.server for r in records[3000:]]
+        _, log = run_episode(config)
+        late = log.servers[3000:]
         assert late.count(0) / len(late) > 0.8
 
     def test_trap_server_is_never_reliable(self):
         config = server_study_config(seed=1)
         config.server_policy = "latency_greedy"
         config.server_agent = None
-        _, records = run_episode(config)
-        on_trap = [r for r in records if r.server == 0]
+        _, log = run_episode(config)
+        on_trap = [t for t, server in enumerate(log.servers) if server == 0]
         assert on_trap
-        assert all(r.outcome.reliable == 0 for r in on_trap)
-        assert all(r.outcome.recon_latency_s > 1.0 for r in on_trap)
+        assert all(log.reliable[t] == 0 for t in on_trap)
+        assert all(log.recon_s[t] > 1.0 for t in on_trap)
 
     def test_adaptive_agent_boosts_exploration_on_degradation(self):
         # The spikes are strong enough that the degradation branch actually
         # fires; epsilon must rise at least once mid-run.
         config = server_study_config(seed=0)
-        _, records = run_episode(config)
-        eps = [r.server_epsilon for r in records]
+        _, log = run_episode(config)
+        eps = log.server_epsilon
         assert any(b > a + 1e-12 for a, b in zip(eps, eps[1:]))
 
     def test_adaptive_avoids_trap_server(self):
@@ -62,5 +62,5 @@ class TestCameraStudyScenario:
         config = camera_study_config(seed=3, n_frames=40)
         config.camera_policy = "greedy3"
         config.feedback_delay_frames = 3
-        _, records = run_episode(config)
-        assert len({r.mask for r in records[:10]}) == 10
+        _, log = run_episode(config)
+        assert len(set(log.masks[:10])) == 10

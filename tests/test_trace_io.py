@@ -25,7 +25,7 @@ from edgerecon.csvio import read_csv_rows
 from edgerecon.disruption import CameraTrace, ServerLatencyTrace, load_traces, save_traces
 from edgerecon.environment import load_quality_trace
 from edgerecon.errors import TraceFormatError, TraceSchemaError
-from edgerecon.metrics import FRAME_LOG_HEADER, FrameOutcome, FrameRecord, write_frame_log
+from edgerecon.metrics import FRAME_LOG_HEADER, FrameLog, write_frame_log
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -354,19 +354,18 @@ def test_save_traces_bytes_equal_csv_writer(availability, latency):
                           st.integers(0, 3), st.lists(FLOATS, min_size=6, max_size=6),
                           st.integers(0, 1)), max_size=6))
 def test_frame_log_bytes_equal_csv_writer(frames):
-    records = [
-        FrameRecord(t, mask, server,
-                    FrameOutcome(v[0], v[1], v[2], v[3], mask, reliable),
-                    v[4], v[5], math.nan, math.nan, math.nan, math.nan)
-        for t, (mask, server, v, reliable) in enumerate(frames)
-    ]
-    rows = [[rec.frame, "".join(map(str, rec.mask)), rec.server,
-             *(repr(float(x)) for x in (rec.outcome.quality, rec.outcome.tx_latency_s,
-                                        rec.outcome.recon_latency_s, rec.outcome.total_latency_s,
-                                        rec.camera_reward, rec.server_reward)),
-             rec.outcome.reliable] for rec in records]
+    log = FrameLog(2, [0b11] * len(frames))
+    for (first, second), server, values, reliable in frames:
+        log.masks.append(first << 1 | second)
+        log.servers.append(server)
+        for column, value in zip((log.quality, log.tx_s, log.recon_s, log.total_s,
+                                  log.camera_reward, log.server_reward), values):
+            column.append(value)
+        log.reliable.append(reliable)
+    rows = [[t, f"{first}{second}", server, *(repr(float(x)) for x in values), reliable]
+            for t, ((first, second), server, values, reliable) in enumerate(frames)]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        write_frame_log(records, tmp / "frames.csv")
+        write_frame_log(log, tmp / "frames.csv")
         assert (tmp / "frames.csv").read_bytes() == _csv_writer_bytes(
             tmp / "reference.csv", FRAME_LOG_HEADER, rows)
