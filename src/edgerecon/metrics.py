@@ -246,16 +246,34 @@ FRAME_LOG_HEADER = (
 )
 
 
-# Frame, mask and server, six float columns written as their repr, then the reliable flag.
-_FRAME_LOG_ROW = "%s,%s,%s,%r,%r,%r,%r,%r,%r,%s\r\n"
+# Frame, mask and server, then the six float columns: recon_s and reward_cam
+# arrive as their repr strings (``_reprs``), the other four are written with %r.
+# Then the reliable flag.
+_FRAME_LOG_ROW = "%s,%s,%s,%r,%r,%s,%r,%s,%r,%s\r\n"
+
+
+def _reprs(column) -> list[str]:
+    """``repr(float(v))`` for each value of a column, formatted once per distinct value.
+
+    For the columns that repeat a few values. 0.0 and -0.0 are one dict key
+    but have different reprs, so zeros are formatted one by one.
+    """
+    names = {value: repr(float(value)) for value in set(column)}
+    return [names[value] if value else repr(float(value)) for value in column]
 
 
 def write_frame_log(log: FrameLog, path) -> None:
-    """Write the per-frame CSV log; float cells use repr so reloads are lossless."""
+    """Write the per-frame CSV log; float cells use repr so reloads are lossless.
+
+    ``recon_s`` is a per-(server, views) table value and ``reward_cam`` is
+    constant per (server, views) whenever quality is capped, so both repeat
+    a few values, whose reprs are formatted once. The other float columns
+    rarely repeat a value.
+    """
     write_csv_rows(path, FRAME_LOG_HEADER, _FRAME_LOG_ROW, zip(
         range(len(log)), log.mask_strings(), log.servers,
-        *(map(float, col) for col in (log.quality, log.tx_s, log.recon_s, log.total_s,
-                                      log.camera_reward, log.server_reward)),
+        map(float, log.quality), map(float, log.tx_s), _reprs(log.recon_s),
+        map(float, log.total_s), _reprs(log.camera_reward), map(float, log.server_reward),
         log.reliable,
     ))
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FLAG, ConfigError, Integer, Real, check_fields, setting
+from .errors import FLAG, ConfigError, Integer, IsA, Real, check_fields, setting
 from .masks import MAX_CAMERAS, subsets
 
 
@@ -153,6 +153,11 @@ def epsilon_greedy(q_values, epsilon: float, rng) -> int:
     return int(np.asarray(q_values).argmax())
 
 
+# What a Q-table snapshot's two fields hold.
+_SNAPSHOT_ACTIONS = Integer("[0, inf)")
+_SNAPSHOT_ROWS = IsA(dict, "a mapping from state to a list of values")
+
+
 def _indented_row(encoded: str) -> str:
     """A list as ``json.dumps`` writes it, laid out as ``indent=2`` lays out a Q-table row."""
     if encoded == "[]":
@@ -164,8 +169,9 @@ class QTable:
     """Lazily materialized (state, action) value table; absent entries read as 0.
 
     Every materialized row keeps its greedy action: the first index of its
-    maximum, as ``argmax`` picks it. ``q_update`` is the only write path and
-    keeps that index current, so selecting the greedy action needs no scan.
+    maximum, as ``argmax`` picks it. The write paths, ``q_update`` and the
+    Q agents' ``learn``, keep that index current, so selecting the greedy
+    action needs no scan.
     ``rows`` and ``row()`` hand out read-only views of the values.
     """
 
@@ -212,8 +218,16 @@ class QTable:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "QTable":
-        table = cls(int(payload["n_actions"]))
+        """The table of a ``to_dict`` payload; anything else raises ConfigError."""
+        if not isinstance(payload, dict) or not payload.keys() >= {"n_actions", "rows"}:
+            raise ConfigError(f"a Q-table snapshot must be a mapping with n_actions and rows, "
+                              f"got {payload!r:.80}")
+        _SNAPSHOT_ACTIONS.check("snapshot n_actions", payload["n_actions"], None)
+        _SNAPSHOT_ROWS.check("snapshot rows", payload["rows"], None)
+        table = cls(payload["n_actions"])
         for state, cells in payload["rows"].items():
+            if not isinstance(state, str):
+                raise ConfigError(f"snapshot state {state!r} must be a string")
             if not isinstance(cells, list) or len(cells) != table.n_actions:
                 raise ConfigError(
                     f"snapshot row {state!r} must be a list of {table.n_actions} values"
@@ -247,8 +261,13 @@ class QTable:
 
     @classmethod
     def load_json(cls, path) -> "QTable":
+        """The table ``save_json`` wrote to ``path``; text that is not JSON raises ConfigError."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:   # JSONDecodeError, or text that does not decode
+                raise ConfigError(f"{path}: not a JSON Q-table snapshot: {exc}") from exc
+        return cls.from_dict(payload)
 
 
 def q_update(table: QTable, state: str, action: int, reward: float, next_state: str,
@@ -473,10 +492,18 @@ class DegradationDetector:
 
 
 class _QLearner:
-    """The Q agents' shared part: table, epsilon-greedy choice, adaptive alpha/epsilon.
+    """The Q agents' shared state: table, alpha/epsilon and the reward history.
 
-    An adaptive agent decides degradation with a ``DegradationDetector``
-    that owns ``reward_history``; a fixed agent only appends to it.
+    Each agent's ``select`` and ``learn`` make one decision in one method
+    body. ``select`` is ``epsilon_greedy`` over the state's row, reading the
+    greedy action from the table's cache. ``learn`` is ``q_update``: the
+    same finite-reward check, float expression and greedy-cache rule
+    (``_first_max_after_write``). An adaptive agent then applies
+    ``adapt_params`` to its ``DegradationDetector``'s decision, with the
+    clamp bounds read once here; the detector owns ``reward_history``, to
+    which a fixed agent only appends. tests/test_policies.py holds both
+    agents to a loop of ``q_update``, ``detect_degradation`` and
+    ``adapt_params``.
     """
 
     def __init__(self, n_actions: int, params: AgentParams):
@@ -485,8 +512,12 @@ class _QLearner:
         self.alpha = params.alpha
         self.epsilon = params.epsilon
         self.table = QTable(n_actions)
-        self._selections = 0
+        self._n_actions = n_actions
+        self._selected = False
         self._gamma = params.gamma
+        # (epsilon factor, epsilon bound, alpha factor, alpha bound) on degradation and without.
+        self._boost = (params.eta_inc, params.eps_max, params.lambda_inc, params.alpha_max)
+        self._decay = (params.eta_dec, params.eps_min, params.lambda_dec, params.alpha_min)
         self._detector = None
         if params.adaptive:
             self._detector = DegradationDetector(params.degradation_window,
@@ -494,25 +525,6 @@ class _QLearner:
             self.reward_history = self._detector.history
         else:
             self.reward_history: deque[float] = deque(maxlen=2 * params.degradation_window)
-
-    def _choose(self, state: str, rng) -> int:
-        """Random action with probability epsilon, else the greedy one (as epsilon_greedy)."""
-        self._selections += 1
-        epsilon = self.epsilon
-        if epsilon > 0 and rng.random() < epsilon:
-            return int(rng.integers(self.table.n_actions))
-        return self.table.greedy(state)
-
-    def _learn(self, state: str, action: int, reward: float, next_state: str) -> None:
-        if self._selections == 0:
-            raise RuntimeError("learn() called before any select()")
-        q_update(self.table, state, action, reward, next_state, self.alpha, self._gamma)
-        detector = self._detector
-        if detector is None:
-            self.reward_history.append(reward)
-        else:
-            self.alpha, self.epsilon = adapt_params(self.alpha, self.epsilon, self.params,
-                                                    detector.push(reward))
 
 
 class QLearningCameraPolicy(_QLearner):
@@ -523,13 +535,53 @@ class QLearningCameraPolicy(_QLearner):
     def __init__(self, space: ActionSpace, params: AgentParams):
         super().__init__(len(space), params)
         self.space = space
+        self._actions = space.actions
+        self._index = space.index
 
     def select(self, rng) -> int:
-        return self.space.actions[self._choose(self.STATE, rng)]
+        self._selected = True
+        epsilon = self.epsilon
+        if epsilon > 0 and rng.random() < epsilon:
+            return self._actions[rng.integers(self._n_actions)]
+        table = self.table
+        greedy = table._greedy.get(self.STATE)
+        if greedy is None:
+            greedy = table.greedy(self.STATE)
+        return self._actions[greedy]
 
     def learn(self, mask: int, reward: float, quality: float | None = None) -> None:
+        action = self._index[mask]
+        if not self._selected:
+            raise RuntimeError("learn() called before any select()")
+        if not math.isfinite(reward):
+            raise ValueError(f"reward must be finite, got {reward}")
+        state = self.STATE
+        table = self.table
+        values = table._values.get(state)
+        if values is None:
+            values = table._add(state, np.zeros(self._n_actions), 0)
+        greedy = table._greedy
+        best = greedy[state]
+        top = values.item(best)
         # Single abstract state: the bootstrap term is gamma * max over the same row.
-        self._learn(self.STATE, self.space.index[mask], reward, self.STATE)
+        value = values.item(action)
+        value += self.alpha * (reward + self._gamma * top - value)
+        values[action] = value
+        if (action == best) == (value < top):   # else the write cannot move the maximum
+            greedy[state] = _first_max_after_write(values, best, top, action, value)
+        detector = self._detector
+        if detector is None:
+            self.reward_history.append(reward)
+        elif detector.push(reward):
+            eta, cap, lam, alpha_cap = self._boost
+            epsilon, alpha = self.epsilon * eta, self.alpha * lam
+            self.epsilon = cap if cap < epsilon else epsilon
+            self.alpha = alpha_cap if alpha_cap < alpha else alpha
+        else:
+            eta, floor, lam, alpha_floor = self._decay
+            epsilon, alpha = self.epsilon * eta, self.alpha * lam
+            self.epsilon = floor if floor > epsilon else epsilon
+            self.alpha = alpha_floor if alpha_floor > alpha else alpha
 
 
 class RandomCameraPolicy:
@@ -635,18 +687,61 @@ class QLearningServerPolicy(_QLearner):
         self.n_servers = n_servers
         self._keys: dict[ServerState, str] = {}   # each state's table key, built once
 
-    def _key(self, state: ServerState) -> str:
+    def select(self, frame: int, state: ServerState, rng) -> int:
         key = self._keys.get(state)
         if key is None:
             key = self._keys[state] = state.key()
-        return key
-
-    def select(self, frame: int, state: ServerState, rng) -> int:
-        return self._choose(self._key(state), rng)
+        self._selected = True
+        epsilon = self.epsilon
+        if epsilon > 0 and rng.random() < epsilon:
+            return int(rng.integers(self._n_actions))
+        table = self.table
+        greedy = table._greedy.get(key)
+        return table.greedy(key) if greedy is None else greedy
 
     def learn(self, state: ServerState, action: int, reward: float, next_state: ServerState,
               total_latency_s: float | None = None) -> None:
-        self._learn(self._key(state), action, reward, self._key(next_state))
+        keys = self._keys
+        key = keys.get(state)
+        if key is None:
+            key = keys[state] = state.key()
+        next_key = keys.get(next_state)
+        if next_key is None:
+            next_key = keys[next_state] = next_state.key()
+        if not self._selected:
+            raise RuntimeError("learn() called before any select()")
+        if not math.isfinite(reward):
+            raise ValueError(f"reward must be finite, got {reward}")
+        table = self.table
+        values = table._values.get(key)
+        if values is None:
+            values = table._add(key, np.zeros(self._n_actions), 0)
+        greedy = table._greedy
+        best = greedy[key]
+        top = values.item(best)
+        if next_key == key:
+            following = top
+        else:
+            following = table._values.get(next_key)   # never materialized: bootstraps 0.0
+            following = 0.0 if following is None else following.item(greedy[next_key])
+        value = values.item(action)
+        value += self.alpha * (reward + self._gamma * following - value)
+        values[action] = value
+        if (action == best) == (value < top):   # else the write cannot move the maximum
+            greedy[key] = _first_max_after_write(values, best, top, action, value)
+        detector = self._detector
+        if detector is None:
+            self.reward_history.append(reward)
+        elif detector.push(reward):
+            eta, cap, lam, alpha_cap = self._boost
+            epsilon, alpha = self.epsilon * eta, self.alpha * lam
+            self.epsilon = cap if cap < epsilon else epsilon
+            self.alpha = alpha_cap if alpha_cap < alpha else alpha
+        else:
+            eta, floor, lam, alpha_floor = self._decay
+            epsilon, alpha = self.epsilon * eta, self.alpha * lam
+            self.epsilon = floor if floor > epsilon else epsilon
+            self.alpha = alpha_floor if alpha_floor > alpha else alpha
 
 
 class RoundRobinServerPolicy:

@@ -142,10 +142,15 @@ class TestRun:
         ("n_cameras: 3\nk_max: 3\nquality:\n"
          "  table: {\"110\": 300.0, \"101\": 300.0, \"011\": 300.0, \"111\": 100.0}\n",
          "quality.table: quality table not monotone: 111 < 011"),
+        ("latency:\n  recon_per_image_ms: .nan\n", "latency.recon_per_image_ms"),
+        ("disruption:\n  server_jitter_ms: .nan\n", "disruption.server_jitter_ms"),
+        ("disruption:\n  spike_range_ms: [100.0, .nan]\n", "disruption.spike_range_ms"),
+        ("quality:\n  table: {\"11000\": 300.0}\n", "quality.table has no entry for subset 00011"),
     ], ids=["weights-length", "negative-weight", "weights-missing", "ceiling", "curve",
             "list-table", "string-table", "negative-table", "huge-noise", "huge-jitter",
             "huge-spike", "infinite-spike", "huge-bump-len", "huge-tx", "huge-recon",
-            "huge-window", "huge-int-real", "non-monotone-table"])
+            "huge-window", "huge-int-real", "non-monotone-table", "nan-latency", "nan-jitter",
+            "nan-spike", "partial-table"])
     def test_bad_value_exits_config_error_before_out_exists(self, tmp_path, capsys, text, field):
         # Each of these used to reach the quality model or trace generation
         # (exit 2 or 4 after --out was made, or a trace with inf written).

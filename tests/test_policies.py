@@ -159,6 +159,33 @@ class TestQTable:
         with pytest.raises(ConfigError, match="'bad'"):
             QTable.from_dict({"n_actions": 2, "rows": {"ok": [0.0, 1], "bad": [0.5, cell]}})
 
+    @pytest.mark.parametrize("payload, match", [
+        ({"n_actions": 2.5, "rows": {}}, "n_actions must be an integer"),
+        ({"n_actions": True, "rows": {}}, "n_actions must be an integer"),
+        ({"n_actions": "2", "rows": {}}, "n_actions must be an integer"),
+        ({"n_actions": -1, "rows": {}}, r"n_actions must lie in \[0, inf\)"),
+        ({"n_actions": 1, "rows": {0: [0.0]}}, "state 0 must be a string"),
+        ({"rows": {}}, "mapping with n_actions and rows"),
+        ({"n_actions": 1, "rows": [[0.0]]}, "rows must be a mapping"),
+        ([{"n_actions": 1, "rows": {}}], "mapping with n_actions and rows"),
+        ('{"n_actions": 1, "rows": {"s": [0.0', "not a JSON Q-table snapshot"),
+    ])
+    def test_malformed_snapshot_raises_config_error(self, payload, match, tmp_path):
+        # A str is the text of a snapshot file. Anything else is a parsed
+        # payload, also written as a file where JSON can hold it; it cannot
+        # hold a non-string state key.
+        path = tmp_path / "snapshot.json"
+        if isinstance(payload, str):
+            path.write_text(payload)
+        else:
+            with pytest.raises(ConfigError, match=match):
+                QTable.from_dict(payload)
+            if json.loads(json.dumps(payload)) != payload:
+                return
+            path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=match):
+            QTable.load_json(path)
+
     def test_snapshot_load_computes_greedy_action(self):
         table = QTable.from_dict({"n_actions": 4, "rows": {"s": [-0.0, 2.0, 0.5, 2.0]}})
         assert table.greedy("s") == 1
@@ -451,6 +478,73 @@ class TestAdaptation:
             assert decisions[-1] == degraded
             assert (agent.alpha, agent.epsilon) == (alpha, epsilon)
         assert list(agent.reward_history) == history[-2 * window:]
+
+    @settings(max_examples=150)
+    @given(st.data(), st.booleans(), st.booleans())
+    def test_agent_matches_q_update_reference_loop(self, data, server, adaptive):
+        # Each agent's select and learn against epsilon_greedy, q_update,
+        # detect_degradation and adapt_params on a separate QTable: the
+        # table (repr keeps -0.0 apart from 0.0), its greedy actions, alpha,
+        # epsilon and the reward history after every learn, the selections
+        # before it.
+        window = data.draw(st.integers(1, 6))
+        params = AgentParams(alpha=data.draw(st.sampled_from([0.05, 0.5, 1.0])),
+                             gamma=data.draw(st.sampled_from([0.0, 0.1, 0.9])),
+                             epsilon=data.draw(st.sampled_from([0.0, 0.3, 1.0])),
+                             adaptive=adaptive, degradation_window=window,
+                             degradation_drop=data.draw(st.sampled_from([0.0, 0.1, 0.5])))
+        rewards = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, -0.5]),
+                            st.floats(-2.0, 2.0), st.sampled_from([math.inf, math.nan]))
+        if server:
+            agent = QLearningServerPolicy(3, params)
+            states = st.builds(ServerState, st.integers(0, 2), st.integers(0, 2))
+            moves = st.tuples(states, states, st.integers(0, 2), states, rewards)
+        else:
+            space = enumerate_actions(3, 1, 3)
+            agent = QLearningCameraPolicy(space, params)
+            moves = st.tuples(st.just(None), st.just(None), st.integers(0, len(space) - 1),
+                              st.just(None), rewards)
+        table = QTable(agent.table.n_actions)
+        agent_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+
+        def reference_select(key):
+            # epsilon_greedy, whose greedy branch also materializes the row,
+            # which then shows in the snapshot.
+            if epsilon > 0 and rng.random() < epsilon:
+                return int(rng.integers(table.n_actions))
+            return epsilon_greedy(table.row(key), 0.0, rng)
+
+        alpha, epsilon = params.alpha, params.epsilon
+        history = []
+        for seen, state, action, next_state, reward in data.draw(st.lists(moves, max_size=40)):
+            if server:
+                key, next_key = state.key(), next_state.key()
+                chosen = agent.select(0, seen, agent_rng)
+                assert chosen == reference_select(seen.key())
+                learn = lambda: agent.learn(state, action, reward, next_state)   # noqa: E731
+            else:
+                key = next_key = agent.STATE
+                chosen = agent.select(agent_rng)
+                assert chosen == space.actions[reference_select(key)]
+                learn = lambda: agent.learn(space.actions[action], reward)   # noqa: E731
+            if not math.isfinite(reward):
+                with pytest.raises(ValueError, match="finite"):
+                    q_update(table, key, action, reward, next_key, alpha, params.gamma)
+                with pytest.raises(ValueError, match="finite"):
+                    learn()
+            else:
+                q_update(table, key, action, reward, next_key, alpha, params.gamma)
+                learn()
+                history.append(reward)
+                if adaptive:
+                    alpha, epsilon = adapt_params(
+                        alpha, epsilon, params,
+                        detect_degradation(history, window, params.degradation_drop))
+            assert repr(agent.table.to_dict()) == repr(table.to_dict())
+            greedy = {row: int(values.argmax()) for row, values in table.rows.items()}
+            assert {row: agent.table.greedy(row) for row in greedy} == greedy
+            assert (agent.alpha, agent.epsilon) == (alpha, epsilon)
+            assert list(agent.reward_history) == history[-2 * window:]
 
     def test_fixed_agent_keeps_history_only(self):
         space = enumerate_actions(3, 2, 3)

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from edgerecon import disruption
@@ -353,6 +353,12 @@ def test_save_traces_bytes_equal_csv_writer(availability, latency):
 @given(st.lists(st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1)),
                           st.integers(0, 3), st.lists(FLOATS, min_size=6, max_size=6),
                           st.integers(0, 1)), max_size=6))
+# recon_s and reward_cam (the third and fifth floats) go through a repr memo,
+# where 0.0 and -0.0 are one key and each NaN is its own.
+@example([((1, 1), 0, [0.5, 0.1, 0.0, 0.6, 0.0, 0.2], 1),
+          ((1, 0), 1, [0.5, 0.1, -0.0, 0.6, -0.0, 0.2], 0),
+          ((0, 1), 2, [0.5, 0.1, float("nan"), 0.6, float("nan"), 0.2], 0),
+          ((1, 1), 0, [0.5, 0.1, 0.0, 0.6, -0.0, 0.2], 1)])
 def test_frame_log_bytes_equal_csv_writer(frames):
     log = FrameLog(2, [0b11] * len(frames))
     for (first, second), server, values, reliable in frames:
