@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -165,55 +166,97 @@ def _indented_row(encoded: str) -> str:
     return "[\n      " + encoded[1:-1].replace(", ", ",\n      ") + "\n    ]"
 
 
+class _QRow:
+    """One state's action values, its greedy action and a bound on every other value.
+
+    ``values`` is an ``array("d")``, read and written one value at a time;
+    ``view`` is a read-only numpy array over the same memory. ``greedy`` is
+    the first index of the maximum, as ``argmax`` picks it. ``bound`` is at
+    least every other action's value and at most the maximum (-inf when no
+    other action exists). A write of ``value`` to ``action``, where ``top``
+    was the greedy value before it, keeps both current by this rule:
+
+    - to the greedy action: nothing moves while ``value > bound``, since
+      ``value`` still exceeds every other value; otherwise ``rescan()``;
+    - to another action: it takes the greedy slot if ``value > top``, or
+      ``value == top`` at a lower index, and ``bound`` becomes ``top``;
+      otherwise ``bound`` rises to ``value`` if it was below.
+
+    With finite values this is exactly ``argmax``, -0.0 and 0.0 comparing
+    equal. The Q agents' ``learn`` applies the rule inline; ``q_update``,
+    the reference, calls ``rescan()`` after every write instead.
+    """
+
+    __slots__ = ("values", "view", "greedy", "bound")
+
+    def __init__(self, values: array):
+        self.values = values
+        self.view = np.frombuffer(values)
+        self.view.flags.writeable = False
+        self.rescan()
+
+    def rescan(self) -> None:
+        """Set ``greedy`` to the first index of the maximum and ``bound`` to the runner-up."""
+        values = self.values
+        if not values:
+            self.greedy, self.bound = 0, -math.inf
+            return
+        view = self.view
+        greedy = self.greedy = int(view.argmax())
+        # The runner-up is the maximum with the greedy value hidden for a
+        # moment; ``argmax`` costs less per call than ``max``.
+        top = values[greedy]
+        values[greedy] = -math.inf
+        self.bound = values[int(view.argmax())]
+        values[greedy] = top
+
+
 class QTable:
     """Lazily materialized (state, action) value table; absent entries read as 0.
 
-    Every materialized row keeps its greedy action: the first index of its
-    maximum, as ``argmax`` picks it. The write paths, ``q_update`` and the
-    Q agents' ``learn``, keep that index current, so selecting the greedy
-    action needs no scan.
+    Each materialized state has a ``_QRow``: the values, the greedy action
+    and a bound on the other actions' values, which lets a write that lowers
+    the greedy value skip the rescan while it stays above the bound. The Q
+    agents hold these rows directly. An unmaterialized state reads as
+    ``_blank``, a row of zeros that nothing writes and no snapshot holds.
     ``rows`` and ``row()`` hand out read-only views of the values.
     """
 
     def __init__(self, n_actions: int):
         self.n_actions = n_actions
         self.rows: dict[str, np.ndarray] = {}
-        self._values: dict[str, np.ndarray] = {}   # writable arrays behind rows
-        self._greedy: dict[str, int] = {}
+        self._rows: dict[str, _QRow] = {}
+        self._blank = _QRow(array("d", [0.0]) * n_actions)
 
-    def _add(self, state: str, values: np.ndarray, greedy: int) -> np.ndarray:
-        view = values.view()
-        view.flags.writeable = False
-        self.rows[state] = view
-        self._values[state] = values
-        self._greedy[state] = greedy
-        return values
+    def _add(self, state: str, values: array) -> _QRow:
+        row = self._rows[state] = _QRow(values)
+        self.rows[state] = row.view
+        return row
+
+    def _handle(self, state: str) -> _QRow:
+        """The ``_QRow`` of ``state``, materializing it."""
+        row = self._rows.get(state)
+        return self._add(state, array("d", [0.0]) * self.n_actions) if row is None else row
 
     def row(self, state: str) -> np.ndarray:
-        if state not in self.rows:
-            self._add(state, np.zeros(self.n_actions), 0)
-        return self.rows[state]
+        return self._handle(state).view
 
     def greedy(self, state: str) -> int:
         """First action of maximal value in ``state``, materializing its row."""
-        greedy = self._greedy.get(state)
-        if greedy is None:
-            self._add(state, np.zeros(self.n_actions), 0)
-            greedy = 0
-        return greedy
+        return self._handle(state).greedy
 
     def value(self, state: str, action: int) -> float:
-        values = self._values.get(state)
-        return 0.0 if values is None else values.item(action)
+        row = self._rows.get(state)
+        return 0.0 if row is None else row.values[action]
 
     def max_value(self, state: str) -> float:
-        values = self._values.get(state)
-        return 0.0 if values is None else values.item(self._greedy[state])
+        row = self._rows.get(state)
+        return 0.0 if row is None else row.values[row.greedy]
 
     def to_dict(self) -> dict:
         return {
             "n_actions": self.n_actions,
-            "rows": {state: values.tolist() for state, values in sorted(self._values.items())},
+            "rows": {state: row.values.tolist() for state, row in sorted(self._rows.items())},
         }
 
     @classmethod
@@ -239,8 +282,7 @@ class QTable:
                 finite = False
             if not finite:
                 raise ConfigError(f"snapshot row {state!r} holds a non-finite or non-numeric value")
-            values = np.array(cells, dtype=float)
-            table._add(state, values, int(values.argmax()))
+            table._add(state, array("d", cells))
         return table
 
     def save_json(self, path) -> None:
@@ -274,29 +316,23 @@ def q_update(table: QTable, state: str, action: int, reward: float, next_state: 
              alpha: float, gamma: float) -> float:
     """One temporal-difference step; returns the new value of (state, action).
 
-    The bootstrap reads the next state's greedy value (0.0 for a state never
-    materialized, which stays so). The write then moves the greedy action by
-    ``_first_max_after_write``.
+    The reference the Q agents' ``learn`` is tested against. The bootstrap
+    reads the next state's maximum (0.0 for a state never materialized,
+    which stays so). A new value that is not finite, from a non-finite
+    reward or an overflow, raises ``ValueError`` and changes nothing.
+    Otherwise the write materializes the row, and ``rescan()`` recomputes
+    its greedy action and runner-up.
     """
-    if not math.isfinite(reward):
-        raise ValueError(f"reward must be finite, got {reward}")
-    greedy = table._greedy
-    values = table._values.get(state)
-    if values is None:
-        values = table._add(state, np.zeros(table.n_actions), 0)
-    best = greedy[state]
-    top = values.item(best)
-    if next_state == state:
-        following = top
-    else:
-        nxt = table._values.get(next_state)
-        following = 0.0 if nxt is None else nxt.item(greedy[next_state])
+    nxt = table._rows.get(next_state)
+    following = 0.0 if nxt is None else nxt.values[int(nxt.view.argmax())]
     target = reward + gamma * following
-    value = values.item(action)
+    value = table._rows.get(state, table._blank).values[action]
     value += alpha * (target - value)
-    values[action] = value
-    if (action == best) == (value < top):   # else the write cannot move the maximum
-        greedy[state] = _first_max_after_write(values, best, top, action, value)
+    if not math.isfinite(value):
+        raise ValueError(f"reward must be finite and keep the Q value finite, got {reward}")
+    row = table._handle(state)
+    row.values[action] = value
+    row.rescan()
     return value
 
 
@@ -495,15 +531,19 @@ class _QLearner:
     """The Q agents' shared state: table, alpha/epsilon and the reward history.
 
     Each agent's ``select`` and ``learn`` make one decision in one method
-    body. ``select`` is ``epsilon_greedy`` over the state's row, reading the
-    greedy action from the table's cache. ``learn`` is ``q_update``: the
-    same finite-reward check, float expression and greedy-cache rule
-    (``_first_max_after_write``). An adaptive agent then applies
-    ``adapt_params`` to its ``DegradationDetector``'s decision, with the
-    clamp bounds read once here; the detector owns ``reward_history``, to
-    which a fixed agent only appends. tests/test_policies.py holds both
-    agents to a loop of ``q_update``, ``detect_degradation`` and
-    ``adapt_params``.
+    body, on the ``_QRow`` handles the agent holds: a handle is bound when
+    its state's row is materialized, and until then the state reads as the
+    table's blank row, so materialization happens exactly where
+    ``epsilon_greedy`` and ``q_update`` would make it. ``select`` is
+    ``epsilon_greedy`` over the state's row, reading the row's greedy
+    action. ``learn`` is ``q_update``: the same float expression, the same
+    ``ValueError`` when the new value is not finite, and the ``_QRow``
+    write rule in place of ``q_update``'s rescan. An adaptive agent then
+    applies ``adapt_params`` to its ``DegradationDetector``'s decision,
+    with the clamp bounds read once here; the detector owns
+    ``reward_history``, to which a fixed agent only appends.
+    tests/test_policies.py holds both agents to a loop of ``q_update``,
+    ``detect_degradation`` and ``adapt_params``.
     """
 
     def __init__(self, n_actions: int, params: AgentParams):
@@ -512,6 +552,7 @@ class _QLearner:
         self.alpha = params.alpha
         self.epsilon = params.epsilon
         self.table = QTable(n_actions)
+        self._blank = self.table._blank
         self._n_actions = n_actions
         self._selected = False
         self._gamma = params.gamma
@@ -537,38 +578,50 @@ class QLearningCameraPolicy(_QLearner):
         self.space = space
         self._actions = space.actions
         self._index = space.index
+        self._row: _QRow | None = None   # the STATE row, once materialized
+
+    def _bind(self, materialize: bool) -> _QRow:
+        """The STATE row, bound once materialized; the blank row before, unless ``materialize``."""
+        table = self.table
+        row = table._handle(self.STATE) if materialize else table._rows.get(self.STATE)
+        if row is None:
+            return self._blank
+        self._row = row
+        return row
 
     def select(self, rng) -> int:
         self._selected = True
         epsilon = self.epsilon
         if epsilon > 0 and rng.random() < epsilon:
             return self._actions[rng.integers(self._n_actions)]
-        table = self.table
-        greedy = table._greedy.get(self.STATE)
-        if greedy is None:
-            greedy = table.greedy(self.STATE)
-        return self._actions[greedy]
+        return self._actions[(self._row or self._bind(True)).greedy]
 
     def learn(self, mask: int, reward: float, quality: float | None = None) -> None:
         action = self._index[mask]
         if not self._selected:
             raise RuntimeError("learn() called before any select()")
-        if not math.isfinite(reward):
-            raise ValueError(f"reward must be finite, got {reward}")
-        state = self.STATE
-        table = self.table
-        values = table._values.get(state)
-        if values is None:
-            values = table._add(state, np.zeros(self._n_actions), 0)
-        greedy = table._greedy
-        best = greedy[state]
-        top = values.item(best)
+        row = self._row or self._bind(False)
+        values = row.values
+        best = row.greedy
+        top = values[best]
         # Single abstract state: the bootstrap term is gamma * max over the same row.
-        value = values.item(action)
+        value = values[action]
         value += self.alpha * (reward + self._gamma * top - value)
+        if not math.isfinite(value):
+            raise ValueError(f"reward must be finite and keep the Q value finite, got {reward}")
+        if row is self._blank:   # the first write materializes the row
+            row = self._bind(True)
+            values = row.values
         values[action] = value
-        if (action == best) == (value < top):   # else the write cannot move the maximum
-            greedy[state] = _first_max_after_write(values, best, top, action, value)
+        if action == best:
+            if value <= row.bound:   # may have fallen to another value: rescan
+                row.rescan()
+        elif value >= row.bound:   # the bound is at most top, so this may take the greedy slot
+            if value > top or (value == top and action < best):
+                row.greedy = action
+                row.bound = top
+            else:
+                row.bound = value
         detector = self._detector
         if detector is None:
             self.reward_history.append(reward)
@@ -685,50 +738,57 @@ class QLearningServerPolicy(_QLearner):
         if n_servers < 1:
             raise ConfigError(f"n_servers must be >= 1, got {n_servers}")
         self.n_servers = n_servers
-        self._keys: dict[ServerState, str] = {}   # each state's table key, built once
+        self._rows: dict[ServerState, _QRow] = {}   # each materialized state's row
+
+    def _bind(self, state: ServerState, materialize: bool) -> _QRow:
+        """``state``'s row, bound once materialized; the blank row before, unless ``materialize``."""
+        table = self.table
+        key = state.key()
+        row = table._handle(key) if materialize else table._rows.get(key)
+        if row is None:
+            return self._blank
+        self._rows[state] = row
+        return row
 
     def select(self, frame: int, state: ServerState, rng) -> int:
-        key = self._keys.get(state)
-        if key is None:
-            key = self._keys[state] = state.key()
+        row = self._rows.get(state) or self._bind(state, False)
         self._selected = True
         epsilon = self.epsilon
         if epsilon > 0 and rng.random() < epsilon:
             return int(rng.integers(self._n_actions))
-        table = self.table
-        greedy = table._greedy.get(key)
-        return table.greedy(key) if greedy is None else greedy
+        if row is self._blank:
+            row = self._bind(state, True)
+        return row.greedy
 
     def learn(self, state: ServerState, action: int, reward: float, next_state: ServerState,
               total_latency_s: float | None = None) -> None:
-        keys = self._keys
-        key = keys.get(state)
-        if key is None:
-            key = keys[state] = state.key()
-        next_key = keys.get(next_state)
-        if next_key is None:
-            next_key = keys[next_state] = next_state.key()
+        rows = self._rows
+        row = rows.get(state) or self._bind(state, False)
+        # A next state never materialized reads as the blank row: it bootstraps 0.0.
+        following = rows.get(next_state) or self._bind(next_state, False)
         if not self._selected:
             raise RuntimeError("learn() called before any select()")
-        if not math.isfinite(reward):
-            raise ValueError(f"reward must be finite, got {reward}")
-        table = self.table
-        values = table._values.get(key)
-        if values is None:
-            values = table._add(key, np.zeros(self._n_actions), 0)
-        greedy = table._greedy
-        best = greedy[key]
-        top = values.item(best)
-        if next_key == key:
-            following = top
-        else:
-            following = table._values.get(next_key)   # never materialized: bootstraps 0.0
-            following = 0.0 if following is None else following.item(greedy[next_key])
-        value = values.item(action)
+        values = row.values
+        best = row.greedy
+        top = values[best]
+        following = following.values[following.greedy]
+        value = values[action]
         value += self.alpha * (reward + self._gamma * following - value)
+        if not math.isfinite(value):
+            raise ValueError(f"reward must be finite and keep the Q value finite, got {reward}")
+        if row is self._blank:   # the first write materializes the row
+            row = self._bind(state, True)
+            values = row.values
         values[action] = value
-        if (action == best) == (value < top):   # else the write cannot move the maximum
-            greedy[key] = _first_max_after_write(values, best, top, action, value)
+        if action == best:
+            if value <= row.bound:   # may have fallen to another value: rescan
+                row.rescan()
+        elif value >= row.bound:   # the bound is at most top, so this may take the greedy slot
+            if value > top or (value == top and action < best):
+                row.greedy = action
+                row.bound = top
+            else:
+                row.bound = value
         detector = self._detector
         if detector is None:
             self.reward_history.append(reward)

@@ -30,7 +30,7 @@ from edgerecon.masks import bitstring, mask_from_str, subsets
 from edgerecon.metrics import (FrameLog, RunStats, Thresholds, camera_reward, server_reward,
                                write_frame_log)
 from edgerecon.policies import (DegradationDetector, QTable, RoundRobinServerPolicy, ServerState,
-                                enumerate_actions)
+                                _QRow, enumerate_actions)
 from references import synthetic_quality_table
 
 
@@ -98,11 +98,19 @@ def policies(config):
     return build_camera_policy(config, space), build_server_policy(config)
 
 
+def row_state(row: _QRow) -> tuple:
+    return row.values.tolist(), row.greedy, row.bound
+
+
 def policy_state(policy) -> dict:
     state = {}
     for key, value in vars(policy).items():
         if isinstance(value, QTable):
             value = value.to_dict()
+        elif isinstance(value, _QRow):   # a row handle: values, greedy action and bound
+            value = row_state(value)
+        elif isinstance(value, dict) and all(isinstance(v, _QRow) for v in value.values()):
+            value = {k: row_state(v) for k, v in value.items()}
         elif isinstance(value, DegradationDetector):
             value = policy_state(value)
         elif isinstance(value, np.ndarray):

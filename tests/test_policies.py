@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tempfile
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,25 @@ from edgerecon.masks import MAX_CAMERAS, bitstring, mask_from_str
 from edgerecon.policies import (ActionSpace, AgentParams, BanditCameraPolicy, DegradationDetector,
                                 GreedyTripletCameraPolicy, LatencyGreedyServerPolicy, QTable,
                                 QLearningCameraPolicy, QLearningServerPolicy, RandomCameraPolicy,
-                                RoundRobinServerPolicy, ServerState, adapt_params,
+                                RoundRobinServerPolicy, ServerState, _QRow, adapt_params,
                                 detect_degradation, enumerate_actions, epsilon_greedy, q_update)
 from references import bitstring_subsets, min_max_adapt_params
 
 # chi-square critical values at the 99.9th percentile
 CHI2_DF9_999 = 27.88
 CHI2_DF25_999 = 52.62
+
+
+def assert_row_invariant(row: _QRow) -> None:
+    """``greedy`` is argmax's index; ``bound`` lies between every other value and the maximum."""
+    values = np.array(row.values)
+    if not len(values):
+        assert (row.greedy, row.bound) == (0, -math.inf)
+        return
+    assert row.greedy == int(values.argmax())
+    others = np.delete(values, row.greedy)
+    assert not len(others) or row.bound >= others.max()
+    assert row.bound <= values[row.greedy]
 
 
 class TestActionSpace:
@@ -132,15 +145,20 @@ class TestQTable:
     @given(data=st.data(), n_actions=st.integers(0, 5))
     @example(data=None, n_actions=0)
     def test_snapshot_bytes_equal_json_dump(self, data, n_actions):
+        # Non-finite cells only test the encoding: no write path stores one,
+        # and loading one back is a ConfigError. Every finite snapshot,
+        # zero-action rows included, loads back to the same table.
         table = QTable(n_actions)
-        if data is not None:
+        if data is None:
+            table.row("s")
+        else:
             states = data.draw(st.lists(st.one_of(st.text(max_size=6), st.sampled_from(
                 ['"', "\\", "\n", "\x00", "\x7f", "é", "\u2028", "\U0001f600", "global"])),
                 max_size=4, unique=True))
             for state in states:
                 cells = data.draw(st.lists(self.SNAPSHOT_CELLS, min_size=n_actions,
                                            max_size=n_actions))
-                table._add(state, np.array(cells, dtype=float), 0)
+                table._add(state, array("d", cells))
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp) / "got.json", Path(tmp) / "want.json"
             table.save_json(got)
@@ -148,6 +166,15 @@ class TestQTable:
                 json.dump(table.to_dict(), fh, indent=2)
                 fh.write("\n")
             assert got.read_bytes() == want.read_bytes()
+            rows = table.to_dict()["rows"]
+            if all(math.isfinite(v) for cells in rows.values() for v in cells):
+                loaded = QTable.load_json(got)
+                assert repr(loaded.to_dict()) == repr(table.to_dict())
+                for row in loaded._rows.values():
+                    assert_row_invariant(row)
+            else:
+                with pytest.raises(ConfigError, match="non-finite"):
+                    QTable.load_json(got)
 
     def test_snapshot_width_checked(self):
         with pytest.raises(ConfigError):
@@ -218,6 +245,8 @@ class TestQTable:
                                            st.lists(cells, min_size=n, max_size=n)))
         table = QTable.from_dict({"n_actions": n, "rows": loaded})
         plain = {state: np.array(values, dtype=float) for state, values in loaded.items()}
+        for row in table._rows.values():
+            assert_row_invariant(row)
         updates = st.tuples(
             st.sampled_from("abc"), st.integers(0, n - 1),
             st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-10, 10)),
@@ -238,6 +267,7 @@ class TestQTable:
                 assert np.array_equal(table.rows[key], values)
                 assert table.greedy(key) == int(values.argmax())
                 assert table.max_value(key) == values.max()
+                assert_row_invariant(table._rows[key])
 
 
 class TestQUpdate:
@@ -271,8 +301,23 @@ class TestQUpdate:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_reward_rejected(self, bad):
+        table = QTable(2)
         with pytest.raises(ValueError):
-            q_update(QTable(2), "s", 0, bad, "s", 0.5, 0.5)
+            q_update(table, "s", 0, bad, "s", 0.5, 0.5)
+        assert table.rows == {}
+
+    def test_overflowing_value_rejected(self):
+        # 1.7e308 + 0.9 * 1.7e308 overflows: the second write would store inf,
+        # a third NaN. Each raises and changes nothing, materializing no row.
+        table = QTable(2)
+        q_update(table, "s", 0, 1.7e308, "s", 1.0, 0.9)
+        before = repr(table.to_dict())
+        with pytest.raises(ValueError, match="finite"):
+            q_update(table, "s", 0, 1.7e308, "s", 1.0, 0.9)
+        with pytest.raises(ValueError, match="finite"):
+            q_update(table, "fresh", 1, 1e308, "s", 1.0, 0.9)
+        assert repr(table.to_dict()) == before
+        assert table.greedy("s") == 0
 
 
 class TestAgentParams:
@@ -479,14 +524,16 @@ class TestAdaptation:
             assert (agent.alpha, agent.epsilon) == (alpha, epsilon)
         assert list(agent.reward_history) == history[-2 * window:]
 
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     @given(st.data(), st.booleans(), st.booleans())
     def test_agent_matches_q_update_reference_loop(self, data, server, adaptive):
         # Each agent's select and learn against epsilon_greedy, q_update,
         # detect_degradation and adapt_params on a separate QTable: the
         # table (repr keeps -0.0 apart from 0.0), its greedy actions, alpha,
         # epsilon and the reward history after every learn, the selections
-        # before it.
+        # before it, and each of the agent's rows: greedy action and bound.
+        # Rewards near +-1e308 make new values overflow, which both reject.
+        # Tables may start from a snapshot; a camera may have 4083 actions.
         window = data.draw(st.integers(1, 6))
         params = AgentParams(alpha=data.draw(st.sampled_from([0.05, 0.5, 1.0])),
                              gamma=data.draw(st.sampled_from([0.0, 0.1, 0.9])),
@@ -494,17 +541,27 @@ class TestAdaptation:
                              adaptive=adaptive, degradation_window=window,
                              degradation_drop=data.draw(st.sampled_from([0.0, 0.1, 0.5])))
         rewards = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, -0.5]),
-                            st.floats(-2.0, 2.0), st.sampled_from([math.inf, math.nan]))
+                            st.floats(-2.0, 2.0), st.sampled_from([math.inf, math.nan]),
+                            st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 8.9e307]))
+        # None learns the action select just returned, as the engine does.
         if server:
             agent = QLearningServerPolicy(3, params)
             states = st.builds(ServerState, st.integers(0, 2), st.integers(0, 2))
-            moves = st.tuples(states, states, st.integers(0, 2), states, rewards)
+            moves = st.tuples(states, states, st.none() | st.integers(0, 2), states, rewards)
+            keys = [ServerState(k, p).key() for k in range(3) for p in range(3)]
         else:
-            space = enumerate_actions(3, 1, 3)
+            space = enumerate_actions(*data.draw(st.sampled_from([(3, 1, 3), (12, 2, 12)])))
             agent = QLearningCameraPolicy(space, params)
-            moves = st.tuples(st.just(None), st.just(None), st.integers(0, len(space) - 1),
-                              st.just(None), rewards)
-        table = QTable(agent.table.n_actions)
+            moves = st.tuples(st.just(None), st.just(None),
+                              st.none() | st.integers(0, len(space) - 1), st.just(None), rewards)
+            keys = [agent.STATE]
+        n = agent.table.n_actions
+        cells = np.random.default_rng(data.draw(st.integers(0, 9))).choice(
+            [0.0, -0.0, 0.5, 1.0, -1.0], size=(len(keys), n)).tolist()
+        loaded = {key: row for key, row in zip(keys, cells) if data.draw(st.booleans())}
+        table = QTable.from_dict({"n_actions": n, "rows": loaded})
+        agent.table = QTable.from_dict({"n_actions": n, "rows": loaded})
+        agent._blank = agent.table._blank
         agent_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
 
         def reference_select(key):
@@ -521,19 +578,21 @@ class TestAdaptation:
                 key, next_key = state.key(), next_state.key()
                 chosen = agent.select(0, seen, agent_rng)
                 assert chosen == reference_select(seen.key())
+                action = chosen if action is None else action
                 learn = lambda: agent.learn(state, action, reward, next_state)   # noqa: E731
             else:
                 key = next_key = agent.STATE
                 chosen = agent.select(agent_rng)
                 assert chosen == space.actions[reference_select(key)]
+                action = space.index[chosen] if action is None else action
                 learn = lambda: agent.learn(space.actions[action], reward)   # noqa: E731
-            if not math.isfinite(reward):
-                with pytest.raises(ValueError, match="finite"):
-                    q_update(table, key, action, reward, next_key, alpha, params.gamma)
+            try:
+                q_update(table, key, action, reward, next_key, alpha, params.gamma)
+            except ValueError as exc:
+                assert "finite" in str(exc)
                 with pytest.raises(ValueError, match="finite"):
                     learn()
             else:
-                q_update(table, key, action, reward, next_key, alpha, params.gamma)
                 learn()
                 history.append(reward)
                 if adaptive:
@@ -543,8 +602,68 @@ class TestAdaptation:
             assert repr(agent.table.to_dict()) == repr(table.to_dict())
             greedy = {row: int(values.argmax()) for row, values in table.rows.items()}
             assert {row: agent.table.greedy(row) for row in greedy} == greedy
+            for row in agent.table._rows.values():
+                assert_row_invariant(row)
             assert (agent.alpha, agent.epsilon) == (alpha, epsilon)
             assert list(agent.reward_history) == history[-2 * window:]
+
+    @pytest.mark.parametrize("server", [False, True])
+    def test_ties_move_the_greedy_action_as_argmax(self, server):
+        # Alpha 1 and gamma 0 store each reward exactly, so values tie.
+        params = AgentParams(alpha=1.0, gamma=0.0, epsilon=0.0)
+        rng = np.random.default_rng(0)
+        if server:
+            agent = QLearningServerPolicy(3, params)
+            state = ServerState(2, 0)
+            agent.select(0, state, rng)
+            learn = lambda action, reward: agent.learn(state, action, reward, state)   # noqa: E731
+            key = state.key()
+        else:
+            space = enumerate_actions(3, 2, 3)
+            agent = QLearningCameraPolicy(space, params)
+            agent.select(rng)
+            learn = lambda action, reward: agent.learn(space.actions[action], reward)   # noqa: E731
+            key = agent.STATE
+        steps = [(1, 0.5, 1),   # above the rest
+                 (0, 0.5, 0),   # ties the greedy value at a lower index: takes the slot
+                 (2, 1.0, 2),   # above the rest; the bound becomes 0.5
+                 (2, 0.5, 0)]   # falls onto the bound: the rescan finds the first 0.5
+        for action, reward, greedy in steps:
+            learn(action, reward)
+            assert agent.table.greedy(key) == greedy == int(agent.table.row(key).argmax())
+            assert_row_invariant(agent.table._rows[key])
+
+    @pytest.mark.parametrize("server", [False, True])
+    def test_overflowing_learn_changes_nothing(self, server):
+        # 1.7e308 + 0.9 * 1.7e308 overflows. The learn that would store inf
+        # raises and leaves the table, alpha, epsilon and the history as they
+        # were; so does a first write to a row, which stays unmaterialized.
+        params = AgentParams(alpha=1.0, gamma=0.9, epsilon=1.0, adaptive=True,
+                             degradation_window=1)
+        rng = np.random.default_rng(0)
+        if server:
+            agent = QLearningServerPolicy(2, params)
+            here, fresh = ServerState(1, 0), ServerState(2, 0)
+            agent.select(0, here, rng)
+            learn = lambda state, reward: agent.learn(state, 1, reward, here)   # noqa: E731
+        else:
+            space = enumerate_actions(3, 2, 3)
+            agent = QLearningCameraPolicy(space, params)
+            agent.select(rng)
+            here = fresh = None
+            learn = lambda state, reward: agent.learn(space.actions[1], reward)   # noqa: E731
+        if not server:
+            with pytest.raises(ValueError, match="finite"):
+                learn(fresh, math.inf)
+            assert agent.table.rows == {}
+        learn(here, 1.7e308)
+        before = (repr(agent.table.to_dict()), agent.alpha, agent.epsilon,
+                  list(agent.reward_history))
+        for state in (here, fresh):
+            with pytest.raises(ValueError, match="finite"):
+                learn(state, 1.7e308)
+            assert (repr(agent.table.to_dict()), agent.alpha, agent.epsilon,
+                    list(agent.reward_history)) == before
 
     def test_fixed_agent_keeps_history_only(self):
         space = enumerate_actions(3, 2, 3)
@@ -603,6 +722,26 @@ class TestCameraQLearning:
                 agent.learn(mask, 0.9 if mask == 0b10 else 0.1)
                 hits += mask == 0b10
             assert hits / 2000 > 0.70
+
+    def test_falling_greedy_value_above_runner_up_needs_no_rescan(self, monkeypatch):
+        space = enumerate_actions(12, 2, 12)
+        assert len(space) == 4083
+        agent = QLearningCameraPolicy(space, AgentParams(alpha=0.5, gamma=0.0, epsilon=0.0))
+        rng = np.random.default_rng(0)
+        assert agent.select(rng) == space.actions[0]   # materializes the row
+        rescans = []
+        rescan = _QRow.rescan
+        monkeypatch.setattr(_QRow, "rescan", lambda row: rescans.append(row.greedy) or rescan(row))
+        agent.learn(space.actions[0], 1.0)   # 0.5, above the runner-up 0.0
+        agent.learn(space.actions[7], 0.2)   # 0.1 raises the bound
+        for _ in range(40):                  # falls towards 0.15, stays above 0.1
+            agent.learn(space.actions[0], 0.15)
+            assert agent.select(rng) == space.actions[0]
+        assert rescans == []
+        agent.learn(space.actions[0], -1.0)   # falls below 0.1: one rescan
+        assert rescans == [0]
+        assert agent.select(rng) == space.actions[7]
+        assert agent._row.bound == 0.0   # the exact runner-up: the untouched actions
 
     def test_zero_initialized_before_any_learn(self):
         space = enumerate_actions(5, 2, 5)
