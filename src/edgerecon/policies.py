@@ -173,18 +173,10 @@ class _QRow:
     ``view`` is a read-only numpy array over the same memory. ``greedy`` is
     the first index of the maximum, as ``argmax`` picks it. ``bound`` is at
     least every other action's value and at most the maximum (-inf when no
-    other action exists). A write of ``value`` to ``action``, where ``top``
-    was the greedy value before it, keeps both current by this rule:
-
-    - to the greedy action: nothing moves while ``value > bound``, since
-      ``value`` still exceeds every other value; otherwise ``rescan()``;
-    - to another action: it takes the greedy slot if ``value > top``, or
-      ``value == top`` at a lower index, and ``bound`` becomes ``top``;
-      otherwise ``bound`` rises to ``value`` if it was below.
-
-    With finite values this is exactly ``argmax``, -0.0 and 0.0 comparing
-    equal. The Q agents' ``learn`` applies the rule inline; ``q_update``,
-    the reference, calls ``rescan()`` after every write instead.
+    other action exists). ``write`` is the one write path that keeps both
+    current; ``q_update``, the reference, sets a value and calls
+    ``rescan()`` instead. The Q agents keep their tables' rows as
+    ``_QRow``s, and greedy3 and the bandit their means.
     """
 
     __slots__ = ("values", "view", "greedy", "bound")
@@ -209,6 +201,34 @@ class _QRow:
         values[greedy] = -math.inf
         self.bound = values[int(view.argmax())]
         values[greedy] = top
+
+    def write(self, action: int, value: float) -> None:
+        """Set ``values[action]`` to the finite ``value``, keeping ``greedy`` and ``bound``.
+
+        With ``top`` the greedy value before the write:
+
+        - to the greedy action: nothing moves while ``value > bound``, since
+          ``value`` still exceeds every other value; otherwise ``rescan()``;
+        - to another action: it takes the greedy slot if ``value > top``, or
+          ``value == top`` at a lower index, and ``bound`` becomes ``top``;
+          otherwise ``bound`` rises to ``value`` if it was below.
+
+        With finite values this is exactly ``argmax``, -0.0 and 0.0 comparing
+        equal. ``action`` must lie in ``[0, len(values))``.
+        """
+        values = self.values
+        best = self.greedy
+        top = values[best]
+        values[action] = value
+        if action == best:
+            if value <= self.bound:   # may have fallen to another value: rescan
+                self.rescan()
+        elif value >= self.bound:   # the bound is at most top, so this may take the greedy slot
+            if value > top or (value == top and action < best):
+                self.greedy = action
+                self.bound = top
+            else:
+                self.bound = value
 
 
 class QTable:
@@ -318,11 +338,14 @@ def q_update(table: QTable, state: str, action: int, reward: float, next_state: 
 
     The reference the Q agents' ``learn`` is tested against. The bootstrap
     reads the next state's maximum (0.0 for a state never materialized,
-    which stays so). A new value that is not finite, from a non-finite
-    reward or an overflow, raises ``ValueError`` and changes nothing.
+    which stays so). An action outside ``[0, n_actions)`` raises
+    ``IndexError``, and a new value that is not finite, from a non-finite
+    reward or an overflow, ``ValueError``; either changes nothing.
     Otherwise the write materializes the row, and ``rescan()`` recomputes
     its greedy action and runner-up.
     """
+    if not 0 <= action < table.n_actions:
+        raise IndexError(f"action {action} outside [0, {table.n_actions})")
     nxt = table._rows.get(next_state)
     following = 0.0 if nxt is None else nxt.values[int(nxt.view.argmax())]
     target = reward + gamma * following
@@ -336,52 +359,33 @@ def q_update(table: QTable, state: str, action: int, reward: float, next_state: 
     return value
 
 
-def _first_max_after_write(values: np.ndarray, best: int, top: float, index: int,
-                          value: float) -> int:
-    """``int(values.argmax())`` after ``values[index]`` was set to ``value``.
-
-    ``best`` was the first index of the maximum before that write and ``top``
-    its value. The maximum moves to ``index`` if ``value`` overtakes ``top``
-    or ties it at a lower index; only a drop of ``best``'s own value needs a
-    rescan. With finite values this is exactly ``argmax``, -0.0 and 0.0
-    comparing equal.
-    """
-    if index == best:
-        return int(values.argmax()) if value < top else best
-    return index if value > top or (value == top and index < best) else best
-
-
 def _first_min_after_write(values: np.ndarray, best: int, low: float, index: int,
                            value: float) -> int:
     """``int(values.argmin())`` after ``values[index]`` was set to ``value``.
 
-    The mirror of ``_first_max_after_write``: ``best`` was the first index
-    of the minimum before the write and ``low`` its value; only a rise of
-    ``best``'s own value needs a rescan.
+    ``best`` was the first index of the minimum before that write and
+    ``low`` its value. The minimum moves to ``index`` if ``value`` falls
+    below ``low`` or ties it at a lower index; only a rise of ``best``'s own
+    value needs a rescan. With finite values this is exactly ``argmin``.
     """
     if index == best:
         return int(values.argmin()) if value > low else best
     return index if value < low or (value == low and index < best) else best
 
 
-def _add_to_mean(means: np.ndarray, counts: list[int], best: int, index: int, sample: float,
-                 name: str) -> int:
-    """Fold ``sample`` into arm ``index``'s running mean; returns the new first-max arm.
+def _add_to_mean(means: _QRow, counts: list[int], index: int, sample: float, name: str) -> None:
+    """Fold ``sample`` into arm ``index``'s running mean through ``means.write``.
 
-    ``best`` is the first arm of maximal mean before the update. A sample
-    that would make the mean non-finite raises ``ValueError`` and changes
-    nothing, which keeps every mean finite, as ``_first_max_after_write``
-    needs.
+    A sample that would make the mean non-finite raises ``ValueError`` and
+    changes nothing, which keeps every mean finite, as ``write`` needs.
     """
     count = counts[index] + 1
-    mean = means.item(index)
+    mean = means.values[index]
     value = mean + (sample - mean) / count
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite and keep the mean finite, got {sample}")
     counts[index] = count
-    top = means.item(best)
-    means[index] = value
-    return _first_max_after_write(means, best, top, index, value)
+    means.write(index, value)
 
 
 @dataclass(frozen=True)
@@ -528,22 +532,22 @@ class DegradationDetector:
 
 
 class _QLearner:
-    """The Q agents' shared state: table, alpha/epsilon and the reward history.
+    """The Q agents' shared state and update: table, alpha/epsilon and the reward history.
 
-    Each agent's ``select`` and ``learn`` make one decision in one method
-    body, on the ``_QRow`` handles the agent holds: a handle is bound when
-    its state's row is materialized, and until then the state reads as the
-    table's blank row, so materialization happens exactly where
-    ``epsilon_greedy`` and ``q_update`` would make it. ``select`` is
+    Each agent holds the ``_QRow`` handles of its table: ``_bind`` binds a
+    handle once its state's row is materialized, and until then the state
+    reads as the table's blank row, so materialization happens exactly
+    where ``epsilon_greedy`` and ``q_update`` would make it. ``select`` is
     ``epsilon_greedy`` over the state's row, reading the row's greedy
-    action. ``learn`` is ``q_update``: the same float expression, the same
-    ``ValueError`` when the new value is not finite, and the ``_QRow``
-    write rule in place of ``q_update``'s rescan. An adaptive agent then
-    applies ``adapt_params`` to its ``DegradationDetector``'s decision,
-    with the clamp bounds read once here; the detector owns
-    ``reward_history``, to which a fixed agent only appends.
-    tests/test_policies.py holds both agents to a loop of ``q_update``,
-    ``detect_degradation`` and ``adapt_params``.
+    action. ``learn`` looks up the action and the rows, then calls
+    ``_update``, which is ``q_update``: the same float expression, the same
+    ``ValueError`` when the new value is not finite, and ``_QRow.write`` in
+    place of ``q_update``'s rescan. An adaptive agent then applies
+    ``adapt_params`` to its ``DegradationDetector``'s decision, with the
+    clamp bounds read once here; the detector owns ``reward_history``, to
+    which a fixed agent only appends. tests/test_policies.py holds both
+    agents to a loop of ``q_update``, ``detect_degradation`` and
+    ``adapt_params``.
     """
 
     def __init__(self, n_actions: int, params: AgentParams):
@@ -567,61 +571,21 @@ class _QLearner:
         else:
             self.reward_history: deque[float] = deque(maxlen=2 * params.degradation_window)
 
+    def _update(self, row: _QRow, state, action: int, reward: float, following: float) -> None:
+        """Write ``q_update``'s new value of ``action`` in ``state``'s ``row``, then adapt.
 
-class QLearningCameraPolicy(_QLearner):
-    """Stateless subset learner: one abstract state, values driven by reward alone."""
-
-    STATE = "global"
-
-    def __init__(self, space: ActionSpace, params: AgentParams):
-        super().__init__(len(space), params)
-        self.space = space
-        self._actions = space.actions
-        self._index = space.index
-        self._row: _QRow | None = None   # the STATE row, once materialized
-
-    def _bind(self, materialize: bool) -> _QRow:
-        """The STATE row, bound once materialized; the blank row before, unless ``materialize``."""
-        table = self.table
-        row = table._handle(self.STATE) if materialize else table._rows.get(self.STATE)
-        if row is None:
-            return self._blank
-        self._row = row
-        return row
-
-    def select(self, rng) -> int:
-        self._selected = True
-        epsilon = self.epsilon
-        if epsilon > 0 and rng.random() < epsilon:
-            return self._actions[rng.integers(self._n_actions)]
-        return self._actions[(self._row or self._bind(True)).greedy]
-
-    def learn(self, mask: int, reward: float, quality: float | None = None) -> None:
-        action = self._index[mask]
+        ``row`` may be the blank row, which the write materializes through
+        ``_bind``; ``following`` is the next state's maximum.
+        """
         if not self._selected:
             raise RuntimeError("learn() called before any select()")
-        row = self._row or self._bind(False)
-        values = row.values
-        best = row.greedy
-        top = values[best]
-        # Single abstract state: the bootstrap term is gamma * max over the same row.
-        value = values[action]
-        value += self.alpha * (reward + self._gamma * top - value)
+        value = row.values[action]
+        value += self.alpha * (reward + self._gamma * following - value)
         if not math.isfinite(value):
             raise ValueError(f"reward must be finite and keep the Q value finite, got {reward}")
         if row is self._blank:   # the first write materializes the row
-            row = self._bind(True)
-            values = row.values
-        values[action] = value
-        if action == best:
-            if value <= row.bound:   # may have fallen to another value: rescan
-                row.rescan()
-        elif value >= row.bound:   # the bound is at most top, so this may take the greedy slot
-            if value > top or (value == top and action < best):
-                row.greedy = action
-                row.bound = top
-            else:
-                row.bound = value
+            row = self._bind(state, True)
+        row.write(action, value)
         detector = self._detector
         if detector is None:
             self.reward_history.append(reward)
@@ -635,6 +599,41 @@ class QLearningCameraPolicy(_QLearner):
             epsilon, alpha = self.epsilon * eta, self.alpha * lam
             self.epsilon = floor if floor > epsilon else epsilon
             self.alpha = alpha_floor if alpha_floor > alpha else alpha
+
+
+class QLearningCameraPolicy(_QLearner):
+    """Stateless subset learner: one abstract state, values driven by reward alone."""
+
+    STATE = "global"
+
+    def __init__(self, space: ActionSpace, params: AgentParams):
+        super().__init__(len(space), params)
+        self.space = space
+        self._actions = space.actions
+        self._index = space.index
+        self._row: _QRow | None = None   # the STATE row, once materialized
+
+    def _bind(self, state: str, materialize: bool) -> _QRow:
+        """The ``state`` row, bound once materialized; the blank row before, unless ``materialize``."""
+        table = self.table
+        row = table._handle(state) if materialize else table._rows.get(state)
+        if row is None:
+            return self._blank
+        self._row = row
+        return row
+
+    def select(self, rng) -> int:
+        self._selected = True
+        epsilon = self.epsilon
+        if epsilon > 0 and rng.random() < epsilon:
+            return self._actions[rng.integers(self._n_actions)]
+        return self._actions[(self._row or self._bind(self.STATE, True)).greedy]
+
+    def learn(self, mask: int, reward: float, quality: float | None = None) -> None:
+        action = self._index[mask]
+        row = self._row or self._bind(self.STATE, False)
+        # Single abstract state: the bootstrap term is gamma * max over the same row.
+        self._update(row, self.STATE, action, reward, row.values[row.greedy])
 
 
 class RandomCameraPolicy:
@@ -655,9 +654,9 @@ class GreedyTripletCameraPolicy:
 
     Cold start cycles each 3-camera subset once (in canonical order) so every
     arm has an estimate before the argmax takes over. Latency never enters
-    the decision. ``learn`` keeps the first arm of maximal mean current
-    (``_add_to_mean``), as ``QTable`` keeps its greedy action, so ``select``
-    needs no scan; ``mean_quality`` is a read-only view of the means.
+    the decision. The means are a ``_QRow``, whose ``write`` keeps the
+    first arm of maximal mean current, so ``select`` needs no scan;
+    ``mean_quality`` is its read-only ``view``.
     """
 
     ARITY = 3
@@ -669,10 +668,8 @@ class GreedyTripletCameraPolicy:
         self.masks = space.actions
         self.index = space.index
         self.counts = [0] * len(self.masks)
-        self._means = np.zeros(len(self.masks))
-        self.mean_quality = self._means.view()
-        self.mean_quality.flags.writeable = False
-        self._best = 0   # first arm of maximal mean
+        self._means = _QRow(array("d", [0.0]) * len(self.masks))
+        self.mean_quality = self._means.view
         self._cold = 0   # next unvisited arm during the cold-start sweep
 
     def select(self, rng=None) -> int:
@@ -680,21 +677,20 @@ class GreedyTripletCameraPolicy:
             mask = self.masks[self._cold]
             self._cold += 1
             return mask
-        return self.masks[self._best]
+        return self.masks[self._means.greedy]
 
     def learn(self, mask: int, reward: float = 0.0, quality: float | None = None) -> None:
         if quality is None:
             return
-        self._best = _add_to_mean(self._means, self.counts, self._best, self.index[mask],
-                                  quality, "quality")
+        _add_to_mean(self._means, self.counts, self.index[mask], quality, "quality")
 
 
 class BanditCameraPolicy:
     """Epsilon-greedy over per-subset mean reward; no bootstrapping of future value.
 
-    ``learn`` keeps the first arm of maximal mean current, as greedy3 does,
-    so ``select`` makes exactly ``epsilon_greedy``'s RNG calls without its
-    scan; ``mean_reward`` is a read-only view of the means.
+    The means are a ``_QRow``, as greedy3's are, so ``select`` makes exactly
+    ``epsilon_greedy``'s RNG calls without its scan; ``mean_reward`` is the
+    row's read-only ``view``.
     """
 
     def __init__(self, space: ActionSpace, epsilon: float = 0.1):
@@ -703,21 +699,18 @@ class BanditCameraPolicy:
         self.space = space
         self.epsilon = epsilon
         self.counts = [0] * len(space)
-        self._means = np.zeros(len(space))
-        self.mean_reward = self._means.view()
-        self.mean_reward.flags.writeable = False
-        self._best = 0   # first arm of maximal mean
+        self._means = _QRow(array("d", [0.0]) * len(space))
+        self.mean_reward = self._means.view
 
     def select(self, rng) -> int:
         actions = self.space.actions
         epsilon = self.epsilon
         if epsilon > 0 and rng.random() < epsilon:
             return actions[int(rng.integers(len(actions)))]
-        return actions[self._best]
+        return actions[self._means.greedy]
 
     def learn(self, mask: int, reward: float, quality: float | None = None) -> None:
-        self._best = _add_to_mean(self._means, self.counts, self._best, self.space.index[mask],
-                                  reward, "reward")
+        _add_to_mean(self._means, self.counts, self.space.index[mask], reward, "reward")
 
 
 class ServerState(NamedTuple):
@@ -762,46 +755,13 @@ class QLearningServerPolicy(_QLearner):
 
     def learn(self, state: ServerState, action: int, reward: float, next_state: ServerState,
               total_latency_s: float | None = None) -> None:
+        if not 0 <= action < self._n_actions:
+            raise IndexError(f"server {action} outside [0, {self._n_actions})")
         rows = self._rows
         row = rows.get(state) or self._bind(state, False)
         # A next state never materialized reads as the blank row: it bootstraps 0.0.
         following = rows.get(next_state) or self._bind(next_state, False)
-        if not self._selected:
-            raise RuntimeError("learn() called before any select()")
-        values = row.values
-        best = row.greedy
-        top = values[best]
-        following = following.values[following.greedy]
-        value = values[action]
-        value += self.alpha * (reward + self._gamma * following - value)
-        if not math.isfinite(value):
-            raise ValueError(f"reward must be finite and keep the Q value finite, got {reward}")
-        if row is self._blank:   # the first write materializes the row
-            row = self._bind(state, True)
-            values = row.values
-        values[action] = value
-        if action == best:
-            if value <= row.bound:   # may have fallen to another value: rescan
-                row.rescan()
-        elif value >= row.bound:   # the bound is at most top, so this may take the greedy slot
-            if value > top or (value == top and action < best):
-                row.greedy = action
-                row.bound = top
-            else:
-                row.bound = value
-        detector = self._detector
-        if detector is None:
-            self.reward_history.append(reward)
-        elif detector.push(reward):
-            eta, cap, lam, alpha_cap = self._boost
-            epsilon, alpha = self.epsilon * eta, self.alpha * lam
-            self.epsilon = cap if cap < epsilon else epsilon
-            self.alpha = alpha_cap if alpha_cap < alpha else alpha
-        else:
-            eta, floor, lam, alpha_floor = self._decay
-            epsilon, alpha = self.epsilon * eta, self.alpha * lam
-            self.epsilon = floor if floor > epsilon else epsilon
-            self.alpha = alpha_floor if alpha_floor > alpha else alpha
+        self._update(row, state, action, reward, following.values[following.greedy])
 
 
 class RoundRobinServerPolicy:
@@ -847,9 +807,12 @@ class LatencyGreedyServerPolicy:
     def learn(self, state, action, reward, next_state, total_latency_s=None) -> None:
         """Fold ``total_latency_s`` into ``action``'s estimate.
 
-        A non-finite latency raises ``ValueError`` and changes nothing, which
+        An action outside ``[0, n_servers)`` raises ``IndexError``, and a
+        non-finite latency ``ValueError``; either changes nothing, which
         keeps every estimate finite, as ``_first_min_after_write`` needs.
         """
+        if not 0 <= action < self.n_servers:
+            raise IndexError(f"server {action} outside [0, {self.n_servers})")
         if total_latency_s is None:
             return
         estimates = self._estimates

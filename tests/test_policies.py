@@ -319,6 +319,18 @@ class TestQUpdate:
         assert repr(table.to_dict()) == before
         assert table.greedy("s") == 0
 
+    @pytest.mark.parametrize("action", [-1, 2])
+    def test_action_out_of_range_rejected(self, action):
+        # -1 would index the last action.
+        table = QTable(2)
+        q_update(table, "s", 1, 1.0, "s", 1.0, 0.0)
+        before = repr(table.to_dict())
+        for state in ("s", "fresh"):
+            with pytest.raises(IndexError):
+                q_update(table, state, action, 0.5, "s", 1.0, 0.0)
+        assert repr(table.to_dict()) == before
+        assert table.greedy("s") == 1
+
 
 class TestAgentParams:
     @pytest.mark.parametrize("kwargs", [
@@ -799,6 +811,26 @@ class TestServerQLearning:
                 state = nxt
             assert count / 4000 < 0.15
 
+    @pytest.mark.parametrize("action", [-1, 3])
+    def test_action_out_of_range_rejected(self, action):
+        # -1 would write server 2's value and cache greedy action -1.
+        agent = QLearningServerPolicy(3, AgentParams(epsilon=0.0, adaptive=True))
+        state = ServerState(2, 0)
+        with pytest.raises(IndexError):   # the range check comes before the select check
+            agent.learn(state, action, 1.0, state)
+        rng = np.random.default_rng(0)
+        agent.select(0, state, rng)
+        agent.learn(state, 1, 0.5, state)
+        before = (repr(agent.table.to_dict()), agent.alpha, agent.epsilon,
+                  list(agent.reward_history))
+        for here in (state, ServerState(1, 0)):
+            with pytest.raises(IndexError):
+                agent.learn(here, action, 1.0, state)
+            assert (repr(agent.table.to_dict()), agent.alpha, agent.epsilon,
+                    list(agent.reward_history)) == before
+        assert agent.select(0, state, rng) == 1
+        assert_row_invariant(agent.table._rows[state.key()])
+
 
 class TestRandomPolicy:
     def test_single_action_space(self):
@@ -862,12 +894,47 @@ class TestGreedyTriplet:
         learns = st.lists(st.tuples(st.integers(0, arms - 1), qualities), max_size=40)
         for arm, quality in data.draw(learns):
             policy.learn(policy.masks[arm], quality=quality)
+            assert_row_invariant(policy._means)
         for _ in range(arms):
             policy.select()   # finish the cold-start sweep
         assert policy.select() == policy.masks[int(policy.mean_quality.argmax())]
         for arm, quality in data.draw(learns):
             policy.learn(policy.masks[arm], quality=quality)
+            assert_row_invariant(policy._means)
             assert policy.select() == policy.masks[int(policy.mean_quality.argmax())]
+
+    def test_falling_best_mean_above_runner_up_needs_no_rescan(self, monkeypatch):
+        policy = GreedyTripletCameraPolicy(6)
+        for _ in range(len(policy.masks)):
+            policy.select()   # finish the cold-start sweep
+        rescans = []
+        rescan = _QRow.rescan
+        monkeypatch.setattr(_QRow, "rescan", lambda row: rescans.append(row.greedy) or rescan(row))
+        best, runner_up = policy.masks[3], policy.masks[11]
+        policy.learn(best, quality=700.0)
+        policy.learn(runner_up, quality=500.0)   # raises the bound
+        for _ in range(40):                      # the mean falls towards 550, above 500
+            policy.learn(best, quality=550.0)
+            assert policy.select() == best
+        assert rescans == []
+        policy.learn(best, quality=-30000.0)   # the mean falls below 500: one rescan
+        assert rescans == [3]
+        assert policy.select() == runner_up
+        assert policy._means.bound == 0.0   # the exact runner-up: the arms never learned
+
+    def test_ties_move_the_best_arm_as_argmax(self):
+        policy = GreedyTripletCameraPolicy(4)
+        for _ in range(len(policy.masks)):
+            policy.select()   # finish the cold-start sweep
+        steps = [(1, 500.0, 1),    # above the rest
+                 (0, 500.0, 0),    # ties the best mean at a lower arm: takes the slot
+                 (2, 1000.0, 2),   # above the rest; the bound becomes 500
+                 (2, 0.0, 0)]      # the mean falls onto the bound: the rescan finds the first 500
+        for arm, quality, best in steps:
+            policy.learn(policy.masks[arm], quality=quality)
+            assert policy.select() == policy.masks[best]
+            assert best == int(policy.mean_quality.argmax())
+            assert_row_invariant(policy._means)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e308])
     def test_non_finite_quality_rejected(self, bad):
@@ -913,7 +980,40 @@ class TestBandit:
         rng = np.random.default_rng(0)
         for arm, reward in data.draw(learns):
             policy.learn(space.actions[arm], reward)
+            assert_row_invariant(policy._means)
             assert policy.select(rng) == space.actions[int(policy.mean_reward.argmax())]
+
+    def test_falling_best_mean_above_runner_up_needs_no_rescan(self, monkeypatch):
+        space = enumerate_actions(12, 2, 12)
+        policy = BanditCameraPolicy(space, epsilon=0.0)
+        rng = np.random.default_rng(0)
+        rescans = []
+        rescan = _QRow.rescan
+        monkeypatch.setattr(_QRow, "rescan", lambda row: rescans.append(row.greedy) or rescan(row))
+        policy.learn(space.actions[5], 1.0)
+        policy.learn(space.actions[9], 0.2)   # raises the bound
+        for _ in range(40):                   # the mean falls towards 0.3, above 0.2
+            policy.learn(space.actions[5], 0.3)
+            assert policy.select(rng) == space.actions[5]
+        assert rescans == []
+        policy.learn(space.actions[5], -50.0)   # the mean falls below 0.2: one rescan
+        assert rescans == [5]
+        assert policy.select(rng) == space.actions[9]
+        assert policy._means.bound == 0.0   # the exact runner-up: the arms never learned
+
+    def test_ties_move_the_best_arm_as_argmax(self):
+        space = enumerate_actions(2, 1, 2)
+        policy = BanditCameraPolicy(space, epsilon=0.0)
+        rng = np.random.default_rng(0)
+        steps = [(1, 0.5, 1),   # above the rest
+                 (0, 0.5, 0),   # ties the best mean at a lower arm: takes the slot
+                 (2, 1.0, 2),   # above the rest; the bound becomes 0.5
+                 (2, 0.0, 0)]   # the mean falls onto the bound: the rescan finds the first 0.5
+        for arm, reward, best in steps:
+            policy.learn(space.actions[arm], reward)
+            assert policy.select(rng) == space.actions[best]
+            assert best == int(policy.mean_reward.argmax())
+            assert_row_invariant(policy._means)
 
     @settings(max_examples=50)
     @given(st.floats(0, 1), st.integers(0, 2 ** 16))
@@ -1050,6 +1150,16 @@ class TestLatencyGreedy:
         policy.learn(None, 1, 0.0, None, total_latency_s=1.0)
         assert policy.estimates.tolist() == [0.0, 0.3]
         assert policy.select(0) == 0
+
+    @pytest.mark.parametrize("action", [-1, 3])
+    def test_action_out_of_range_rejected(self, action):
+        # -1 would fold the latency into server 2 and make select return -1.
+        policy = seeded_latency_greedy(0.5, [1.0, 2.0, 0.5])
+        for latency in (0.0, None):
+            with pytest.raises(IndexError):
+                policy.learn(None, action, 0.0, None, total_latency_s=latency)
+        assert policy.estimates.tolist() == [1.0, 2.0, 0.5]
+        assert policy.select(0) == 2
 
     def test_beta_validated(self):
         with pytest.raises(ConfigError):
