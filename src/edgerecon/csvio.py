@@ -2,14 +2,15 @@
 
 Reading parses a file with ``csv.reader`` as it streams in; text that cannot
 be decoded and malformed CSV become TraceFormatError, so a bad file is a data
-error at the boundary, not a runtime failure. Writing formats every row with
-one %-template, producing the bytes ``csv.writer`` would (comma-separated,
+error at the boundary, not a runtime failure. Writing joins columns of cell
+strings into rows, producing the bytes ``csv.writer`` would (comma-separated,
 ``\r\n`` line ends) for cells that never need quoting.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import islice
 from pathlib import Path
 
 from .errors import TraceFormatError
@@ -48,13 +49,30 @@ def _decode_error(path, encoding: str) -> TraceFormatError:
     return TraceFormatError(f"{path}: cannot decode as {encoding}")
 
 
-def write_csv_rows(path, header, template: str, rows) -> None:
-    """Write the header, then ``template % row`` for every row.
+def format_cells(column, format) -> list[str]:
+    """``format(value)`` for each value of a column, called once per distinct value.
 
-    The template holds the row's cells separated by commas and ends in
-    ``\r\n``; ``%s`` and ``%r`` cells give what ``csv.writer`` writes for
-    ints and for floats.
+    For columns that repeat a few values. 0.0 and -0.0 are one dict key but
+    have different reprs, so zeros are formatted one by one.
     """
+    names = {value: format(value) for value in set(column)}
+    return [names[value] if value else format(value) for value in column]
+
+
+# Rows joined and written per write call: enough to amortize the call, few
+# enough that lazy columns are never held as whole-file text.
+_WRITE_BLOCK = 1024
+
+
+def write_csv_rows(path, header, columns) -> None:
+    """Write the header, then row i as the i-th cell of every column, joined by commas.
+
+    ``columns`` are iterables of cell strings of one length; lazy ones are
+    consumed ``_WRITE_BLOCK`` rows at a time. Every line ends in ``\r\n``.
+    """
+    rows = map(",".join, zip(*columns))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(template % row for row in rows)
+        while block := list(islice(rows, _WRITE_BLOCK)):
+            block.append("")   # so that the join ends the block's last row too
+            fh.write("\r\n".join(block))

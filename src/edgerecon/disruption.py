@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import read_csv_rows, write_csv_rows
+from .csvio import format_cells, read_csv_rows, write_csv_rows
 from .errors import (ConfigError, Integer, ListOf, Optional, Real, TraceFormatError, TraceSchemaError,
                      check_fields, setting)
 
@@ -237,28 +237,19 @@ def save_traces(camera: CameraTrace, server: ServerLatencyTrace, out_dir) -> tup
     out.mkdir(parents=True, exist_ok=True)
     cam_path = out / CAMERAS_FILE
     srv_path = out / SERVERS_FILE
-    # "%d" formats any real number as str(int(value)) would.
-    write_csv_rows(cam_path, _camera_header(camera.n_cameras),
-                   "%d" + ",%d" * camera.n_cameras + "\r\n",
-                   _numbered(camera.availability))
-    write_csv_rows(srv_path, _server_header(server.n_servers),
-                   "%d" + ",%r" * server.n_servers + "\r\n",
-                   _numbered(server.latency_ms.astype(float, copy=False)))
+    # An availability column repeats two values, each formatted once. Latency
+    # cells are formatted as the writer reaches them, a block at a time.
+    write_csv_rows(cam_path, _camera_header(camera.n_cameras), [
+        map(str, range(camera.frames)),
+        *(format_cells(column, str)
+          for column in camera.availability.astype(int, copy=False).T.tolist())])
+    write_csv_rows(srv_path, _server_header(server.n_servers), [
+        map(str, range(server.frames)),
+        *(map(repr, map(float, column)) for column in server.latency_ms.T)])
     return cam_path, srv_path
 
 
 _LF, _CR = ord("\n"), ord("\r")
-
-
-def _numbered(matrix: np.ndarray, block: int = 1024):
-    """Each row of the matrix as a tuple of Python numbers led by its frame index.
-
-    Rows are converted ``block`` at a time, so the whole matrix is never
-    held as Python numbers.
-    """
-    for first in range(0, len(matrix), block):
-        for frame, row in enumerate(matrix[first:first + block].tolist(), first):
-            yield (frame, *row)
 
 
 def _parse_bit(cell: str, lineno: int) -> int:

@@ -11,7 +11,7 @@ import math
 from array import array
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -333,9 +333,16 @@ def write_quality_trace(path, model: QualityModel, n_frames: int) -> None:
     table = model.table
     present = np.flatnonzero(~np.isnan(table if table.ndim == 1 else table[0]))
     values = table[..., present]
-    rows = [values.tolist()] * n_frames if values.ndim == 1 else values[:n_frames].tolist()
-    if len(rows) < n_frames:
-        raise ConfigError(f"quality trace covers {len(rows)} frames, need {n_frames}")
+    if values.ndim == 1:
+        # Every frame repeats the one row, so its cells are formatted once.
+        cells = repeat(",".join(map(repr, values.tolist())), n_frames)
+    elif len(values) < n_frames:
+        raise ConfigError(f"quality trace covers {len(values)} frames, need {n_frames}")
+    else:
+        # A replayed row holds up to 2**n_cameras cells; they are joined a frame at a time.
+        cells = (",".join(map(repr, row.tolist())) for row in values[:n_frames])
+    columns = [map(str, range(n_frames))]
+    if present.size:   # a table without entries writes the frame column alone
+        columns.append(cells)
     write_csv_rows(path, ["frame"] + [bitstring(mask, model.n_cameras) for mask in present],
-                   "%d" + ",%r" * present.size + "\r\n",
-                   ((frame, *row) for frame, row in enumerate(rows)))
+                   columns)

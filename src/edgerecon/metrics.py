@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 
-from .csvio import read_csv_rows, write_csv_rows
+from .csvio import format_cells, read_csv_rows, write_csv_rows
 from .errors import ConfigError, Real, TraceFormatError, TraceSchemaError, check_fields, setting
 from .masks import bitstring
 
@@ -246,20 +246,8 @@ FRAME_LOG_HEADER = (
 )
 
 
-# Frame, mask and server, then the six float columns: recon_s and reward_cam
-# arrive as their repr strings (``_reprs``), the other four are written with %r.
-# Then the reliable flag.
-_FRAME_LOG_ROW = "%s,%s,%s,%r,%r,%s,%r,%s,%r,%s\r\n"
-
-
-def _reprs(column) -> list[str]:
-    """``repr(float(v))`` for each value of a column, formatted once per distinct value.
-
-    For the columns that repeat a few values. 0.0 and -0.0 are one dict key
-    but have different reprs, so zeros are formatted one by one.
-    """
-    names = {value: repr(float(value)) for value in set(column)}
-    return [names[value] if value else repr(float(value)) for value in column]
+def _repr_float(value) -> str:
+    return repr(float(value))
 
 
 def write_frame_log(log: FrameLog, path) -> None:
@@ -267,14 +255,15 @@ def write_frame_log(log: FrameLog, path) -> None:
 
     ``recon_s`` is a per-(server, views) table value and ``reward_cam`` is
     constant per (server, views) whenever quality is capped, so both repeat
-    a few values, whose reprs are formatted once. The other float columns
-    rarely repeat a value.
+    a few values, whose reprs are formatted once, as are the server and
+    reliable cells. The other float columns rarely repeat a value.
     """
-    write_csv_rows(path, FRAME_LOG_HEADER, _FRAME_LOG_ROW, zip(
-        range(len(log)), log.mask_strings(), log.servers,
-        map(float, log.quality), map(float, log.tx_s), _reprs(log.recon_s),
-        map(float, log.total_s), _reprs(log.camera_reward), map(float, log.server_reward),
-        log.reliable,
+    write_csv_rows(path, FRAME_LOG_HEADER, (
+        map(str, range(len(log))), log.mask_strings(), format_cells(log.servers, str),
+        map(repr, map(float, log.quality)), map(repr, map(float, log.tx_s)),
+        format_cells(log.recon_s, _repr_float), map(repr, map(float, log.total_s)),
+        format_cells(log.camera_reward, _repr_float), map(repr, map(float, log.server_reward)),
+        format_cells(log.reliable, str),
     ))
 
 

@@ -16,6 +16,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
+from types import FunctionType
 from typing import NamedTuple
 
 import numpy as np
@@ -570,6 +571,16 @@ class _QLearner:
             self.reward_history = self._detector.history
         else:
             self.reward_history: deque[float] = deque(maxlen=2 * params.degradation_window)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # CPython 3.11+ specializes a code object's attribute loads and stores
+        # on ``self`` for one type at a time, and the camera and server agents
+        # learn alternately in every frame; so each agent class runs its own
+        # copy of ``_update``'s code. Before 3.11 the copy changes nothing.
+        update = _QLearner._update
+        cls._update = FunctionType(update.__code__.replace(), update.__globals__,
+                                   update.__name__, update.__defaults__, update.__closure__)
 
     def _update(self, row: _QRow, state, action: int, reward: float, following: float) -> None:
         """Write ``q_update``'s new value of ``action`` in ``state``'s ``row``, then adapt.

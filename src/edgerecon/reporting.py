@@ -44,15 +44,35 @@ class ReportBundle:
     latency_quartiles: dict[str, tuple[float, float, float, float, float]]
 
 
+_PERCENTS = np.array([0.0, 25.0, 50.0, 75.0, 100.0])
+
+
 def five_number_summary(values) -> tuple[float, float, float, float, float]:
     """(min, q1, median, q3, max); quartiles via linear interpolation.
 
-    ``values`` is a sequence of floats; an ``array("d")`` is read in place.
+    ``values`` is a sequence of finite floats; an ``array("d")`` is read in
+    place. The result is ``np.percentile``'s, except where its interpolation
+    overflows: it takes ``b - a`` of two neighbours, which overflows for
+    finite values of opposite sign and huge magnitude, such as 1.8e308 and
+    -3e292. There each value is the overflow-free ``a*(1 - t) + b*t``,
+    clipped to ``[a, b]``.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return (0.0, 0.0, 0.0, 0.0, 0.0)
-    q = np.percentile(arr, [0, 25, 50, 75, 100])
+    try:
+        with np.errstate(over="raise"):
+            q = np.percentile(arr, _PERCENTS)
+    except FloatingPointError:
+        ordered = np.sort(arr)
+        position = _PERCENTS / 100 * (arr.size - 1)
+        below = position.astype(int)   # floor, as position >= 0
+        t = position - below
+        a, b = ordered[below], ordered[np.minimum(below + 1, arr.size - 1)]
+        # Terms of opposite sign cannot overflow; a sum of two of one sign
+        # can, by rounding, and the clip brings it back to b.
+        with np.errstate(over="ignore"):
+            q = np.clip(a * (1 - t) + b * t, a, b)
     return tuple(float(v) for v in q)
 
 

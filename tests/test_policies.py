@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import tempfile
 from array import array
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from edgerecon import policies
 from edgerecon.errors import ConfigError
 from edgerecon.masks import MAX_CAMERAS, bitstring, mask_from_str
 from edgerecon.policies import (ActionSpace, AgentParams, BanditCameraPolicy, DegradationDetector,
                                 GreedyTripletCameraPolicy, LatencyGreedyServerPolicy, QTable,
                                 QLearningCameraPolicy, QLearningServerPolicy, RandomCameraPolicy,
-                                RoundRobinServerPolicy, ServerState, _QRow, adapt_params,
+                                RoundRobinServerPolicy, ServerState, _QLearner, _QRow, adapt_params,
                                 detect_degradation, enumerate_actions, epsilon_greedy, q_update)
 from references import bitstring_subsets, min_max_adapt_params
 
@@ -694,6 +696,27 @@ class TestAdaptation:
             alpha, epsilon = adapt_params(alpha, epsilon, params, degraded=bool(rng.random() < 0.3))
             assert params.eps_min <= epsilon <= params.eps_max
             assert params.alpha_min <= alpha <= params.alpha_max
+
+
+class TestUpdatePerAgentType:
+    """Each Q agent class runs its own copy of the one ``_QLearner._update``.
+
+    CPython 3.11+ specializes attribute access in a code object for one type
+    of ``self`` at a time, so the two agents, which learn alternately in
+    every frame, must not share a code object.
+    """
+
+    def test_each_class_has_its_own_code_object(self):
+        shared = _QLearner._update.__code__
+        copies = [cls._update.__code__ for cls in (QLearningCameraPolicy, QLearningServerPolicy)]
+        assert copies[0] is not copies[1]
+        for code in copies:
+            assert code is not shared
+            assert (code.co_code, code.co_consts) == (shared.co_code, shared.co_consts)
+
+    def test_source_defines_the_update_once(self):
+        source = Path(policies.__file__).read_text()
+        assert len(re.findall(r"^\s*def _update\(", source, re.MULTILINE)) == 1
 
 
 class TestCameraQLearning:

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 from array import array
 
@@ -38,6 +39,8 @@ class TestFiveNumberSummary:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
     @example([])
+    # numpy's interpolation overflows on b - a for these two finite values.
+    @example([1.7976931348623155e+308, -2.9937604643020797e+292])
     def test_array_reads_as_its_list(self, values):
         # RunStats keeps total latencies in an array("d"), read without a list copy.
         def bits(summary):
@@ -45,6 +48,14 @@ class TestFiveNumberSummary:
         column = array("d", values)
         assert bits(five_number_summary(column)) == bits(five_number_summary(list(column)))
         assert list(column) == values    # read, not reordered in place
+
+    def test_overflowing_interpolation_stays_within_the_extremes(self):
+        values = [1.7976931348623155e+308, -2.9937604643020797e+292]
+        low, q1, median, q3, high = five_number_summary(values)
+        assert (low, high) == (min(values), max(values))
+        for quartile in (q1, median, q3):
+            assert math.isfinite(quartile)
+            assert low <= quartile <= high
 
 
 class TestHistogramShares:

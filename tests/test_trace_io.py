@@ -4,8 +4,8 @@
 it and otherwise runs its row loop, which also words every error; the
 reference below is that loop alone, one cell at a time. Mutated copies of
 small valid trace files, and targeted edge cases, must load to the same
-arrays, or fail with the same error type and message. The writers format rows with %-templates;
-their bytes must equal ``csv.writer`` output on the same cells.
+arrays, or fail with the same error type and message. The writers join columns of cell strings
+into rows; their bytes must equal ``csv.writer`` output on the same cells.
 """
 
 import csv
@@ -21,10 +21,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from edgerecon import disruption
-from edgerecon.csvio import read_csv_rows
+from edgerecon.csvio import _WRITE_BLOCK, read_csv_rows
 from edgerecon.disruption import CameraTrace, ServerLatencyTrace, load_traces, save_traces
-from edgerecon.environment import load_quality_trace
-from edgerecon.errors import TraceFormatError, TraceSchemaError
+from edgerecon.environment import QualityModel, load_quality_trace, write_quality_trace
+from edgerecon.errors import ConfigError, TraceFormatError, TraceSchemaError
 from edgerecon.metrics import FRAME_LOG_HEADER, FrameLog, write_frame_log
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -375,3 +375,68 @@ def test_frame_log_bytes_equal_csv_writer(frames):
         write_frame_log(log, tmp / "frames.csv")
         assert (tmp / "frames.csv").read_bytes() == _csv_writer_bytes(
             tmp / "reference.csv", FRAME_LOG_HEADER, rows)
+
+
+def test_frame_log_over_several_write_blocks_equals_csv_writer(tmp_path):
+    frames = 2 * _WRITE_BLOCK + 3
+    rng = np.random.default_rng(7)
+    floats = [0.0, -0.0, 0.1, 1e-300, 5e-324, float("nan"), 1e300]
+    log = FrameLog(3, [0b111] * frames)
+    log.masks.extend(rng.integers(0, 8, frames).tolist())
+    log.servers.extend(rng.integers(0, 4, frames).tolist())
+    for column in (log.quality, log.tx_s, log.recon_s, log.total_s,
+                   log.camera_reward, log.server_reward):
+        # Half the cells repeat a few values, as recon_s and reward_cam do; half are distinct.
+        column.extend(floats[i] if i < len(floats) else rng.random() for i in rng.integers(0, 14, frames))
+    log.reliable.extend(rng.integers(0, 2, frames).tolist())
+    rows = [[t, format(log.masks[t], "03b"), log.servers[t],
+             *(repr(float(column[t])) for column in (log.quality, log.tx_s, log.recon_s, log.total_s,
+                                                     log.camera_reward, log.server_reward)),
+             log.reliable[t]] for t in range(frames)]
+    write_frame_log(log, tmp_path / "frames.csv")
+    assert (tmp_path / "frames.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "reference.csv", FRAME_LOG_HEADER, rows)
+
+
+QUALITY = st.one_of(st.floats(0, 1e308), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1e300]))
+
+
+@st.composite
+def quality_models(draw):
+    """A synthetic (1-D) or a replayed (2-D) model and the cells each frame's row holds."""
+    n_cameras = draw(st.integers(1, 3))
+    width = 1 << n_cameras
+    if draw(st.booleans()):
+        # One quality per subset size keeps the table monotone; absent subsets are NaN.
+        levels = sorted(draw(st.lists(QUALITY, min_size=n_cameras + 1, max_size=n_cameras + 1)))
+        present = draw(st.lists(st.sampled_from(range(width)), unique=True))
+        table = np.full(width, np.nan)
+        for mask in present:
+            table[mask] = levels[mask.bit_count()]
+        return QualityModel(table), lambda frame: table[sorted(present)]
+    frames = draw(st.integers(1, 8))
+    table = np.array(draw(st.lists(st.lists(st.one_of(FLOATS, st.just(float("nan"))),
+                                            min_size=width, max_size=width),
+                                   min_size=frames, max_size=frames)), dtype=float)
+    model = QualityModel(table.reshape(frames, width))
+    present = np.flatnonzero(~np.isnan(table[0]))
+    return model, lambda frame: table[frame, present]
+
+
+@SETTINGS
+@given(quality_models(), st.integers(0, 6))
+def test_quality_trace_bytes_equal_csv_writer(model_and_cells, n_frames):
+    model, cells = model_and_cells
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if model.table.ndim == 2 and len(model.table) < n_frames:
+            with pytest.raises(ConfigError, match=f"covers {len(model.table)} frames"):
+                write_quality_trace(tmp / "quality.csv", model, n_frames)
+            return
+        write_quality_trace(tmp / "quality.csv", model, n_frames)
+        rows = [[t, *(repr(float(v)) for v in cells(t))] for t in range(n_frames)]
+        first = model.table if model.table.ndim == 1 else model.table[0]
+        header = ["frame"] + [format(mask, f"0{model.n_cameras}b")
+                              for mask in np.flatnonzero(~np.isnan(first))]
+        assert (tmp / "quality.csv").read_bytes() == _csv_writer_bytes(
+            tmp / "reference.csv", header, rows)
