@@ -144,6 +144,8 @@ class QualityModel:
         require_camera_cap(self.n_cameras)
         if width < 2 or width & (width - 1):
             raise ConfigError(f"quality table width {width} is not 2**n_cameras, n_cameras >= 1")
+        if table.ndim == 2 and not len(table):
+            raise ConfigError("quality trace table has no frames")
         if table.ndim == 1:
             _check_monotone(table, self.n_cameras)
 

@@ -415,18 +415,23 @@ class AgentParams:
 
 
 def detect_degradation(rewards, window: int, drop: float) -> bool:
-    """True when the last window's mean reward fell below the previous window's by more than drop.
+    """True when the last window's rewards sum to less than the previous window's minus window * drop.
 
-    ``rewards`` is any sized sequence, a list or a deque; each window is
-    summed left to right without copying it.
+    The reference rule, in exact rational arithmetic over the doubles'
+    values: ``sum(recent) - sum(previous) < -window * drop``, so no rounding
+    decides it. ``rewards`` is any sized sequence, a list or a deque; before
+    it holds 2 * window rewards the answer is False.
     """
+    # Imported here: fractions imports decimal, a few ms of every start-up,
+    # and only tests call this reference.
+    from fractions import Fraction
+
     n = len(rewards)
     if n < 2 * window:
         return False
-    tail = islice(rewards, n - 2 * window, None)
-    previous = sum(islice(tail, window)) / window
-    recent = sum(tail) / window
-    return recent < previous - drop
+    tail = map(Fraction, islice(rewards, n - 2 * window, None))
+    previous = sum(islice(tail, window))
+    return sum(tail) - previous < -window * Fraction(drop)
 
 
 def adapt_params(alpha: float, epsilon: float, params: AgentParams, degraded: bool) -> tuple[float, float]:
@@ -457,79 +462,37 @@ class DegradationDetector:
     """``detect_degradation`` over a sliding reward history, in O(1) per reward.
 
     ``push(r)`` appends ``r`` to ``history`` (the last 2 * window rewards)
-    and returns ``detect_degradation(history, window, drop)``, bit for bit.
-    It keeps running sums P and R of the previous and recent windows,
-    recomputed with ``sum`` whenever the history fills and every ``window``
-    slides after that, and decides from them when the gap
-    g = fl(fl(R - P) + fl(window * drop)) lies farther from 0 than a bound T.
-    Otherwise, or when g is not finite, it calls ``detect_degradation``.
-
-    The bound. Let u = 2**-53, w the window, d the drop, M the largest |r|
-    pushed so far and X = B - A + w*d, with A and B the exact sums of the
-    previous and recent windows. Each rounding errs by at most u relative,
-    plus 2**-1075 absolute where a product or quotient underflows (a sum or
-    difference is exact there):
-
-    - ``sum`` of w values errs by <= (w-1)u * wM left to right (Python
-      <= 3.11) and by <= 2u * wM + O(w u**2 M) compensated (3.12+); both
-      are <= 3w**2 uM.
-    - The reference decides fl(B'/w) < fl(fl(A'/w) - d), A' and B' its
-      sums. Times w, the left side minus the right is Y, and
-      |Y - X| <= 6w**2 uM + uw(3M + d) + 2w * 2**-1075.
-    - P and R start from ``sum`` and take at most w - 1 slides of two
-      additions of magnitude <= (w+1)M, so each is within 5w**2 uM of its
-      window's exact sum; forming g adds uw(4M + 2d) + 2**-1075. So
-      |g - X| <= 10w**2 uM + uw(4M + 2d) + 2**-1075.
-
-    Hence |g - Y| <= E = u(16w**2 M + 7wM + 3wd) + (2w+1) * 2**-1075, and
-    T = w(2**-48((w+1)M + d) + 2**-1072) >= 2E. If g > T then Y > 0 and
-    the reference says False; if g < -T then Y < 0 and it says True. The
-    factor 2 covers the second-order terms and the rounding of T itself.
-    An overflow leaves g or T infinite or NaN, and so does a non-finite
-    reward; both take the exact path. No reward range is assumed.
+    and returns ``detect_degradation(history, window, drop)``. Every finite
+    double is an integer number of units of 2**-1074, so the detector keeps
+    the history in those units and the exact gap, recent window minus
+    previous, as one int; nothing is rounded. A non-finite reward raises
+    ``OverflowError`` or ``ValueError`` and changes nothing.
     """
 
     def __init__(self, window: int, drop: float):
         self.window = window
-        self.drop = drop
-        self.history: deque[float] = deque(maxlen=2 * window)
-        self._slack = window * drop
-        self._largest = 0.0            # M: the largest |reward| pushed
-        self._bound = self._bound_for(0.0)
-        self._previous = self._recent = 0.0
-        self._countdown = 0            # slides left until the next resync; 0 until full
-
-    def _bound_for(self, largest: float) -> float:
-        w = self.window
-        return w * (2.0 ** -48 * ((w + 1) * largest + self.drop) + 2.0 ** -1072)
+        self._size = size = 2 * window
+        self.history: deque[float] = deque(maxlen=size)
+        self._units: deque[int] = deque(maxlen=size)
+        self._gap = 0                  # recent window minus previous, in units
+        n, d = drop.as_integer_ratio()
+        self._threshold = -window * (n << (1075 - d.bit_length()))
 
     def push(self, reward: float) -> bool:
-        """Append ``reward``; True when the recent window's mean fell by more than drop."""
-        history = self.history
-        magnitude = abs(reward)
-        if magnitude > self._largest:
-            self._largest = magnitude
-            self._bound = self._bound_for(magnitude)
-        window = self.window
-        countdown = self._countdown
-        if countdown > 1:
-            middle = history[window]   # leaves the recent window for the previous one
-            oldest = history[0]        # leaves the history
-            history.append(reward)
-            self._countdown = countdown - 1
-            previous = self._previous = self._previous + middle - oldest
-            recent = self._recent = self._recent + reward - middle
+        """Append ``reward``; True when the recent window's sum fell by more than window * drop."""
+        n, d = reward.as_integer_ratio()   # d = 2**k, k <= 1074
+        x = n << (1075 - d.bit_length())
+        units = self._units
+        held = len(units)
+        if held == self._size:   # units[window] moves to the previous window; units[0] leaves
+            self._gap += x - 2 * units[self.window] + units[0]
+        elif held < self.window:
+            self._gap -= x
         else:
-            history.append(reward)
-            if not countdown and len(history) < 2 * window:
-                return False
-            previous = self._previous = sum(islice(history, window))
-            recent = self._recent = sum(islice(history, window, None))
-            self._countdown = window
-        gap = recent - previous + self._slack
-        if self._bound < abs(gap) < math.inf:
-            return gap < 0
-        return detect_degradation(history, window, self.drop)
+            self._gap += x
+        units.append(x)
+        self.history.append(reward)
+        return held + 1 >= self._size and self._gap < self._threshold
 
 
 class _QLearner:

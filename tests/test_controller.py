@@ -224,22 +224,6 @@ class TestAdaptiveBookkeeping:
             assert getattr(log, f"{side}_alpha")[frame] == alpha, frame
         assert fired   # the detector fired at least once on these configs
 
-    @ADAPTIVE_CASES
-    def test_exact_fallback_is_rare(self, config, side, monkeypatch):
-        calls = []
-
-        def counting(rewards, window, drop):
-            calls.append(len(rewards) == 2 * window)
-            return detect_degradation(rewards, window, drop)
-
-        monkeypatch.setattr("edgerecon.policies.detect_degradation", counting)
-        run_episode(config)
-        window = getattr(config, f"resolved_{side}_agent")().degradation_window
-        learns = config.n_frames - config.feedback_delay_frames
-        post_warm_up = learns - (2 * window - 1)
-        assert all(calls)   # never called before the history fills
-        assert len(calls) < 0.01 * post_warm_up, (len(calls), post_warm_up)
-
 
 class TestQualityTraceMode:
     def test_trace_mode_episode_matches_noise_free_synthetic(self, tmp_path):

@@ -148,6 +148,14 @@ class TestSyntheticTable:
         with pytest.raises(ConfigError, match="width"):
             QualityModel(np.full(shape, 100.0))
 
+    def test_trace_table_needs_a_frame(self, tmp_path):
+        # As load_quality_trace rejects a file with no data rows; the writer
+        # would otherwise fail on the missing first row.
+        with pytest.raises(ConfigError, match="no frames"):
+            QualityModel(np.empty((0, 8)))
+        write_quality_trace(tmp_path / "one.csv", QualityModel(np.full((1, 8), 100.0)), 1)
+        assert load_quality_trace(tmp_path / "one.csv").table.shape == (1, 8)
+
     def test_weights_length_checked(self):
         with pytest.raises(ConfigError):
             synthetic_quality_table(5, camera_weights=(1.0, 2.0))

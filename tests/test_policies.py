@@ -373,7 +373,7 @@ def reward_streams(draw):
     on the previous mean minus drop: exactly (sums of dyadic values, maybe
     nudged by an ulp), or as rounded floats compute it (each previous value
     minus drop, or the previous mean minus drop repeated). Those are the
-    streams on which only the exact path can decide.
+    streams on which the exact rule and a float evaluation of it can part.
     """
     window = draw(st.integers(1, 25))
     drop = draw(st.floats(0, 1.5))
@@ -487,26 +487,46 @@ class TestAdaptation:
             assert detector.push(reward) == detect_degradation(history, window, drop)
             assert list(detector.history) == history[-2 * window:]
 
-    @given(reward_streams())
-    def test_detector_sums_resync_and_stay_within_bound(self, case):
-        # The running window sums equal ``sum`` when the history fills and
-        # every window pushes after, and stay within 5 w**2 u M of the exact
-        # sums (fsum rounds those once) in between.
-        window, drop, rewards = case
+    @pytest.mark.parametrize("window, drop, rewards, degraded", [
+        # The recent sum is 0.0 and the previous one exactly 3 * 0.1: a fall of
+        # exactly window * drop, though float sum([0.1] * 3) rounds above 0.3.
+        (3, 0.1, [0.1] * 3 + [0.0] * 3, False),
+        # The double 0.7 lies below 1.0 - 0.3 exactly, though 1.0 - 0.3 == 0.7 in floats.
+        (1, 0.3, [1.0, 0.7], True),
+        # Window sums beyond the largest double.
+        (2, 0.1, [1.7e308] * 2 + [-1.7e308] * 2, True),
+        (2, 0.1, [-1.7e308] * 2 + [1.7e308] * 2, False),
+        (2, 0.0, [1.7e308] * 4, False),
+        (2, 1.7e308, [1.7e308] * 2 + [0.0] * 2, False),   # a fall of exactly window * drop
+        # Subnormals: falls of one and two units of 2**-1074.
+        (1, 5e-324, [1.5e-323, 5e-324], True),
+        (1, 5e-324, [1e-323, 5e-324], False),
+        (2, 0.0, [5e-324, 0.0, 0.0, 0.0], True),
+        (2, 5e-324, [5e-324, 0.0, 0.0, 0.0], False),   # drop is one unit, window * drop two
+        (2, 0.0, [0.0, 0.0, 0.0, -5e-324], True),
+        # Negative rewards: a fall of 0.5 against drops of 0.5 and 0.25.
+        (1, 0.5, [-0.5, -1.0], False),
+        (1, 0.25, [-0.5, -1.0], True),
+        (2, 0.25, [-0.25, -0.25, -0.5, -0.5], False),
+        # -0.0 sums as 0.0.
+        (1, 0.0, [0.0, -0.0], False),
+        (1, 0.0, [-0.0, -5e-324], True),
+        (2, 0.0, [-0.0, -0.0, -0.0, 0.0], False),
+    ])
+    def test_exact_rule_cases(self, window, drop, rewards, degraded):
         detector = DegradationDetector(window, drop)
-        history = []
-        for pushed, reward in enumerate(rewards, start=1):
+        decisions = [detector.push(reward) for reward in rewards]
+        assert decisions == [False] * (len(rewards) - 1) + [degraded]
+        assert detect_degradation(rewards, window, drop) == degraded
+
+    @pytest.mark.parametrize("reward", [math.inf, -math.inf, math.nan])
+    def test_detector_rejects_non_finite_reward_unchanged(self, reward):
+        detector = DegradationDetector(1, 0.1)
+        detector.push(0.5)
+        before = detector._gap, list(detector.history), list(detector._units)
+        with pytest.raises((OverflowError, ValueError)):
             detector.push(reward)
-            history.append(reward)
-            if pushed < 2 * window:
-                continue
-            previous, recent = history[-2 * window:-window], history[-window:]
-            if (pushed - 2 * window) % window == 0:
-                assert (detector._previous, detector._recent) == (sum(previous), sum(recent))
-            largest = max(map(abs, rewards[:pushed]))
-            slack = 5 * window ** 2 * 2.0 ** -53 * largest
-            assert abs(detector._previous - math.fsum(previous)) <= slack + math.ulp(largest)
-            assert abs(detector._recent - math.fsum(recent)) <= slack + math.ulp(largest)
+        assert (detector._gap, list(detector.history), list(detector._units)) == before
 
     @settings(max_examples=150)
     @given(reward_streams(), st.booleans())
