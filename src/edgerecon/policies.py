@@ -426,6 +426,8 @@ def detect_degradation(rewards, window: int, drop: float) -> bool:
     # and only tests call this reference.
     from fractions import Fraction
 
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     n = len(rewards)
     if n < 2 * window:
         return False
@@ -463,25 +465,47 @@ class DegradationDetector:
 
     ``push(r)`` appends ``r`` to ``history`` (the last 2 * window rewards)
     and returns ``detect_degradation(history, window, drop)``. Every finite
-    double is an integer number of units of 2**-1074, so the detector keeps
-    the history in those units and the exact gap, recent window minus
-    previous, as one int; nothing is rounded. A non-finite reward raises
-    ``OverflowError`` or ``ValueError`` and changes nothing.
+    double is an integer number of units of 2**-k for some k <= 1074, so
+    the detector keeps the history, the exact gap (recent window minus
+    previous) and the threshold as ints in units of 2**-``_bits``, where
+    ``_bits`` is the most fractional bits of ``drop`` and of any reward
+    pushed so far; nothing is rounded. A reward no finer than the unit
+    converts with one exact multiplication by ``_scale`` = 2.0**``_bits``
+    (inf once ``_bits`` >= 1024); a finer one refines the unit and shifts
+    the held ints left. A non-finite reward raises ``OverflowError`` or
+    ``ValueError`` and changes nothing.
     """
 
     def __init__(self, window: int, drop: float):
+        if window < 1:
+            raise ValueError(f"window must be at least 1, got {window}")
         self.window = window
         self._size = size = 2 * window
         self.history: deque[float] = deque(maxlen=size)
         self._units: deque[int] = deque(maxlen=size)
         self._gap = 0                  # recent window minus previous, in units
-        n, d = drop.as_integer_ratio()
-        self._threshold = -window * (n << (1075 - d.bit_length()))
+        self._threshold = 0            # _to_units may shift it before it is set
+        self._bits = 0
+        self._scale = 1.0
+        self._threshold = -window * self._to_units(drop)
+
+    def _to_units(self, value: float) -> int:
+        """``value`` in units, refining the unit first if ``value`` is finer."""
+        n, d = value.as_integer_ratio()   # d = 2**k, k <= 1074; raises if not finite
+        shift = d.bit_length() - 1 - self._bits
+        if shift <= 0:
+            return n << -shift
+        self._units = deque([u << shift for u in self._units], self._size)
+        self._gap <<= shift
+        self._threshold <<= shift
+        self._bits += shift
+        self._scale = 2.0 ** self._bits if self._bits < 1024 else math.inf
+        return n
 
     def push(self, reward: float) -> bool:
         """Append ``reward``; True when the recent window's sum fell by more than window * drop."""
-        n, d = reward.as_integer_ratio()   # d = 2**k, k <= 1074
-        x = n << (1075 - d.bit_length())
+        x = reward * self._scale   # a power of two: exact, unless inf or nan
+        x = int(x) if x.is_integer() else self._to_units(reward)
         units = self._units
         held = len(units)
         if held == self._size:   # units[window] moves to the previous window; units[0] leaves

@@ -374,12 +374,21 @@ def reward_streams(draw):
     nudged by an ulp), or as rounded floats compute it (each previous value
     minus drop, or the previous mean minus drop repeated). Those are the
     streams on which the exact rule and a float evaluation of it can part.
+    In "refine" streams a drop in eighths and 2 * window dyadic rewards fill
+    the history, and a tail in [0, 1], subnormals included, follows: finer
+    rewards then refine the detector's unit while its history is full.
     """
     window = draw(st.integers(1, 25))
     drop = draw(st.floats(0, 1.5))
     values = REWARDS[draw(st.sampled_from(sorted(REWARDS)))]
     rewards = draw(st.lists(values, max_size=3 * window))
-    threshold = draw(st.sampled_from([None, "exact", "shift", "mean"]))
+    threshold = draw(st.sampled_from([None, "exact", "shift", "mean", "refine"]))
+    if threshold == "refine":
+        drop = draw(st.integers(0, 12)) / 8
+        full = draw(st.lists(DYADIC, min_size=2 * window, max_size=2 * window))
+        tail = draw(st.lists(st.floats(0, 1, allow_subnormal=True), min_size=1,
+                             max_size=2 * window))
+        return window, drop, full + tail
     if threshold == "exact":
         drop = draw(st.integers(0, 12)) / 8
         previous = [v + drop for v in draw(st.lists(DYADIC, min_size=window, max_size=window))]
@@ -521,12 +530,64 @@ class TestAdaptation:
 
     @pytest.mark.parametrize("reward", [math.inf, -math.inf, math.nan])
     def test_detector_rejects_non_finite_reward_unchanged(self, reward):
-        detector = DegradationDetector(1, 0.1)
-        detector.push(0.5)
-        before = detector._gap, list(detector.history), list(detector._units)
-        with pytest.raises((OverflowError, ValueError)):
-            detector.push(reward)
-        assert (detector._gap, list(detector.history), list(detector._units)) == before
+        def state(detector):
+            return (detector._gap, list(detector.history), list(detector._units),
+                    detector._bits, detector._scale, detector._threshold)
+
+        for window, drop, rewards in [
+            (1, 0.1, [0.5]),
+            (2, 0.1, [0.5, 0.25, 0.75, 1.0, 0.3]),   # a full history
+            (1, 5e-324, [0.5, 0.25]),                 # the unit is already 2**-1074
+        ]:
+            detector = DegradationDetector(window, drop)
+            for r in rewards:
+                detector.push(r)
+            before = state(detector)
+            with pytest.raises((OverflowError, ValueError)):
+                detector.push(reward)
+            assert state(detector) == before
+
+    @pytest.mark.parametrize("window, drop, rewards", [
+        # A full history of quarters under drop 0.5, then ever finer rewards.
+        (2, 0.5, [1.0, 0.75, 0.25, 0.5, 0.1, 2.0**-60, 5e-324, 0.75, 0.5]),
+        # The unit starts at 2**-1074, where every product with the scale is inf or nan.
+        (2, 5e-324, [0.5, 0.25, 1.0, 0.0, 0.3, 0.7, -0.0, 0.2]),
+        # 1.7e308 times the scale of drop 0.1 overflows.
+        (2, 0.1, [1.7e308, 1.7e308, -1.7e308, -1.7e308, 0.1, 1.7e308]),
+    ])
+    def test_detector_refines_its_unit(self, window, drop, rewards):
+        def fractional_bits(value):
+            return value.as_integer_ratio()[1].bit_length() - 1
+
+        detector = DegradationDetector(window, drop)
+        slow = []
+        to_units = detector._to_units
+        detector._to_units = lambda value: slow.append(value) or to_units(value)
+        bits = fractional_bits(drop)
+        history = []
+        for reward in rewards:
+            expect_slow = (fractional_bits(reward) > detector._bits
+                           or not math.isfinite(reward * detector._scale))
+            slow.clear()
+            history.append(reward)
+            assert detector.push(reward) == detect_degradation(history, window, drop)
+            assert slow == ([reward] if expect_slow else [])
+            assert detector._bits >= bits
+            bits = max(bits, fractional_bits(reward))
+            assert detector._bits == bits
+            assert detector._scale == (2.0**bits if bits < 1024 else math.inf)
+            assert list(detector._units) == [r.as_integer_ratio()[0] << (bits - fractional_bits(r))
+                                             for r in history[-2 * window:]]
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, window):
+        with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
+            DegradationDetector(window, 0.1)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_reference_window_below_one_rejected(self, window):
+        with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
+            detect_degradation([0.5], window, 0.1)
 
     @settings(max_examples=150)
     @given(reward_streams(), st.booleans())
