@@ -125,9 +125,11 @@ def _axis_policies(args) -> tuple[str, ...]:
         return order
     valid = CAMERA_POLICIES if args.axis == "camera" else SERVER_POLICIES
     chosen = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-    for p in chosen:
+    for i, p in enumerate(chosen):
         if p not in valid:
             raise ConfigError(f"unknown {args.axis} policy {p!r}; valid: {valid}")
+        if p in chosen[:i]:
+            raise ConfigError(f"--policies names {p!r} more than once")
     if not chosen:
         raise ConfigError("--policies must name at least one policy")
     return chosen

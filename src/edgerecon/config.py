@@ -171,6 +171,8 @@ def load_config(path) -> ExperimentConfig:
         text = Path(path).read_text()
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:   # a directory, say
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

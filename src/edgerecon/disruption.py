@@ -10,17 +10,15 @@ server per event, keeping servers statistically independent of each other.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .csvio import format_cells, read_csv_rows, write_csv_rows
+from .csvio import (_frame_chars, all_finite_nonnegative, finite_nonnegative, format_cells,
+                    load_matrix, write_csv_rows)
 from .errors import (ConfigError, Integer, ListOf, Optional, Real, TraceFormatError, TraceSchemaError,
                      check_fields, setting)
 
@@ -249,60 +247,10 @@ def save_traces(camera: CameraTrace, server: ServerLatencyTrace, out_dir) -> tup
     return cam_path, srv_path
 
 
-_LF, _CR = ord("\n"), ord("\r")
-
-
 def _parse_bit(cell: str, lineno: int) -> int:
     if cell not in ("0", "1"):
         raise TraceFormatError(f"availability cell must be 0 or 1, got {cell!r}", line=lineno)
     return int(cell)
-
-
-def _parse_latency(cell: str, lineno: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError as exc:
-        raise TraceFormatError(f"bad latency cell {cell!r}", line=lineno) from exc
-    if not np.isfinite(value) or value < 0:
-        raise TraceFormatError(f"latency must be finite and >= 0, got {cell!r}", line=lineno)
-    return value
-
-
-def _read_matrix(path, expected_header, parse_cell, dtype) -> np.ndarray:
-    """The data rows of a trace CSV read with ``csv`` and checked one cell at a time.
-
-    This is the reference for ``_bulk_matrix``, and reads every file that
-    the bulk parse does not accept; it raises at the first bad line.
-    """
-    with closing(read_csv_rows(path)) as lines:
-        header = next(lines, None)
-        if header is None:
-            raise TraceSchemaError(f"{path}: file is empty")
-        width = len(header)
-        if header != expected_header(width - 1) or width < 2:
-            raise TraceSchemaError(f"{path}: unexpected header {header}")
-        parsed = []
-        for lineno, row in enumerate(lines, start=2):
-            if len(row) != width:
-                raise TraceSchemaError(
-                    f"{path}: line {lineno} has {len(row)} columns, expected {width}"
-                )
-            try:
-                frame = int(row[0])
-            except ValueError as exc:
-                raise TraceFormatError(f"bad frame index {row[0]!r}", line=lineno) from exc
-            if frame != len(parsed):
-                raise TraceSchemaError(
-                    f"{path}: frame index {frame} at line {lineno} does not match row position "
-                    f"{len(parsed)}"
-                )
-            parsed.append([parse_cell(cell, lineno) for cell in row[1:]])
-    return np.array(parsed, dtype=dtype)
-
-
-def _frame_chars(n: int) -> int:
-    """The characters of the frame cells 0..n-1 written in decimal: len("".join(map(str, range(n))))."""
-    return n + sum(n - 10 ** d for d in range(1, len(str(n - 1))))
 
 
 def _bits_as_written(bits: np.ndarray, cell_chars: int) -> bool:
@@ -318,86 +266,20 @@ def _bits_as_written(bits: np.ndarray, cell_chars: int) -> bool:
     return bits.max() <= 1 and cell_chars == _frame_chars(n) + n * width
 
 
-def _latencies_valid(latency: np.ndarray, cell_chars: int) -> bool:
-    """True when every latency is finite and >= 0, as ``_parse_latency`` requires."""
-    return bool(np.isfinite(latency).all() and (latency >= 0).all())
-
-
-def _bulk_matrix(path, expected_header, dtype, accept) -> np.ndarray | None:
-    """The data rows of a trace CSV parsed in one pass by numpy's C reader.
-
-    Returns None unless byte-level guards show that ``_read_matrix`` would
-    accept the file with the same values:
-
-    - the file is ASCII with no ``"``, and its only control characters are
-      line ends (loadtxt strips \\x1c-\\x1f around numbers, ``int`` and
-      ``float`` do not);
-    - the header is the expected one;
-    - every line ends in ``\\n``, or every one in ``\\r\\n``, bar perhaps the last;
-    - no line is blank (loadtxt skips blank lines, the row loop rejects
-      them) or as long as ``csv.field_size_limit()``;
-    - every row has the header's width, with frame cells that parse as ints
-      0..n-1;
-    - ``accept(cells, cell_chars)`` holds, ``cell_chars`` being the number
-      of characters in all data cells.
-
-    Within these guards loadtxt's int and float parsers read a subset of
-    what ``int`` and ``float`` read, to the same values.
-    """
-    raw = Path(path).read_bytes()
-    if not raw.isascii() or b'"' in raw:
-        return None
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(codes == _LF)
-    n_cr = np.count_nonzero(codes == _CR)
-    if np.count_nonzero(codes < 0x20) != ends.size + n_cr:
-        return None
-    header = raw[:ends[0] if ends.size else None].removesuffix(b"\r").decode().split(",")
-    if len(header) < 2 or header != expected_header(len(header) - 1):
-        return None
-    eol = 2 if n_cr else 1    # bytes per line end
-    if n_cr and (n_cr != ends.size or (codes[ends - 1] != _CR).any()):
-        return None
-    spans = np.diff(ends, prepend=-1, append=len(raw))    # each line's length plus one
-    if (spans[:-1] == eol).any() or spans.max() > csv.field_size_limit():
-        return None
-    n = ends.size - raw.endswith(b"\n")
-    if n == 0:
-        return np.array([], dtype=dtype)
-    width = len(header) - 1
-    row = np.dtype([("frame", np.int64), ("cells", dtype, (width,))])
-    try:
-        with io.TextIOWrapper(io.BytesIO(raw), encoding="ascii") as text:
-            table = np.loadtxt(text, dtype=row, delimiter=",", comments=None, skiprows=1, ndmin=1)
-    except ValueError:
-        return None
-    cells = table["cells"]
-    cell_chars = len(raw) - (ends[0] + 1) - (ends.size - 1) * eol - n * width
-    if len(table) != n or (table["frame"] != np.arange(n)).any() or not accept(cells, cell_chars):
-        return None
-    return cells.copy(order="C")
-
-
-def _load_matrix(path, expected_header, dtype, accept, parse_cell) -> np.ndarray:
-    """The data rows of a trace CSV as one array: parsed in bulk when ``_bulk_matrix``
-    accepts the file, else by the row loop, which raises at the first bad line."""
-    values = _bulk_matrix(path, expected_header, dtype, accept)
-    return values if values is not None else _read_matrix(path, expected_header, parse_cell, dtype)
-
-
 def load_traces(trace_dir) -> tuple[CameraTrace, ServerLatencyTrace]:
     """Load cameras.csv and servers.csv from a directory written by save_traces.
 
-    Each file is parsed in one bulk pass when it passes the guards of
-    ``_bulk_matrix``, and otherwise row by row; undecodable or malformed
-    files raise TraceFormatError or TraceSchemaError. Event logs are not
-    part of the CSV schema, so loaded traces carry empty event lists.
+    Each file is read by ``csvio.load_matrix``: in one bulk pass when it
+    passes that reader's byte-level guards, and otherwise row by row;
+    unreadable, undecodable or malformed files raise TraceFormatError or
+    TraceSchemaError. Event logs are not part of the CSV schema, so loaded
+    traces carry empty event lists.
     """
     trace_dir = Path(trace_dir)
-    availability = _load_matrix(trace_dir / CAMERAS_FILE, _camera_header, np.uint8,
-                                _bits_as_written, _parse_bit)
-    latency = _load_matrix(trace_dir / SERVERS_FILE, _server_header, float,
-                           _latencies_valid, _parse_latency)
+    availability = load_matrix(trace_dir / CAMERAS_FILE, _camera_header, np.uint8,
+                               _bits_as_written, _parse_bit)
+    latency = load_matrix(trace_dir / SERVERS_FILE, _server_header, float,
+                          all_finite_nonnegative, finite_nonnegative("latency"))
     if len(availability) != len(latency):
         raise TraceSchemaError(
             f"camera trace has {len(availability)} frames but server trace has {len(latency)}"

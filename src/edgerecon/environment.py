@@ -8,16 +8,16 @@ actually delivered, plus the server's network latency from the trace.
 from __future__ import annotations
 
 import math
-from array import array
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import count, islice, repeat
 
 import numpy as np
 
-from .csvio import read_csv_rows, write_csv_rows
-from .errors import (PATH, ConfigError, ListOf, OneOf, Optional, Real, Table, TraceFormatError,
-                     TraceSchemaError, check_fields, setting)
+from .csvio import (all_finite_nonnegative, finite_nonnegative, load_matrix, read_csv_rows,
+                    write_csv_rows)
+from .errors import (PATH, ConfigError, ListOf, OneOf, Optional, Real, Table, TraceSchemaError,
+                     check_fields, setting)
 from .masks import bitstring, mask_from_str, require_camera_cap
 from .metrics import FrameOutcome, Thresholds, reliability
 
@@ -264,7 +264,9 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
 
     Header is `frame` followed by one bitstring column per subset; every
     subset with at least MIN_VIEWS cameras must be present so lookups can
-    never miss at runtime. Every cell must be a finite quality >= 0.
+    never miss at runtime. Every cell must be a finite quality >= 0. Once
+    the header passes, the rows are read by ``csvio.load_matrix``, in one
+    bulk pass when it accepts the file, as a servers.csv is.
     """
     with closing(read_csv_rows(path)) as reader:
         header = next(reader, None)
@@ -293,37 +295,14 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
                 f"{path}: missing {need - have} subset columns: {listing}"
                 + (", ..." if need - have > 3 else "")
             )
-        cells = array("d")    # every quality cell, row after row
-        n_rows = 0
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise TraceSchemaError(
-                    f"{path}: line {lineno} has {len(row)} columns, expected {len(header)}"
-                )
-            try:
-                frame = int(row[0])
-            except ValueError as exc:
-                raise TraceFormatError(f"bad frame index {row[0]!r}", line=lineno) from exc
-            if frame != n_rows:
-                raise TraceSchemaError(
-                    f"{path}: frame index {frame} at line {lineno} does not match row position"
-                )
-            for cell in row[1:]:
-                try:
-                    value = float(cell)
-                except ValueError as exc:
-                    raise TraceFormatError(f"bad quality cell {cell!r}", line=lineno) from exc
-                if not math.isfinite(value) or value < 0:
-                    raise TraceFormatError(f"quality must be finite and >= 0, got {cell!r}",
-                                           line=lineno)
-                cells.append(value)
-            n_rows += 1
-    if not n_rows:
+    values = load_matrix(path, lambda _width: header, float, all_finite_nonnegative,
+                         finite_nonnegative("quality"), name_position=False)
+    if not len(values):
         raise TraceSchemaError(f"{path}: no data rows")
     # A subset named by more than one column takes its last column.
     columns = {mask: i for i, mask in enumerate(masks)}
-    table = np.full((n_rows, 1 << width), np.nan)
-    table[:, list(columns)] = np.frombuffer(cells).reshape(n_rows, -1)[:, list(columns.values())]
+    table = np.full((len(values), 1 << width), np.nan)
+    table[:, list(columns)] = values[:, list(columns.values())]
     return QualityModel(table)
 
 

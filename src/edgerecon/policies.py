@@ -177,7 +177,8 @@ class _QRow:
     other action exists). ``write`` is the one write path that keeps both
     current; ``q_update``, the reference, sets a value and calls
     ``rescan()`` instead. The Q agents keep their tables' rows as
-    ``_QRow``s, and greedy3 and the bandit their means.
+    ``_QRow``s, greedy3 and the bandit their means, and latency_greedy its
+    negated estimates.
     """
 
     __slots__ = ("values", "view", "greedy", "bound")
@@ -358,20 +359,6 @@ def q_update(table: QTable, state: str, action: int, reward: float, next_state: 
     row.values[action] = value
     row.rescan()
     return value
-
-
-def _first_min_after_write(values: np.ndarray, best: int, low: float, index: int,
-                           value: float) -> int:
-    """``int(values.argmin())`` after ``values[index]`` was set to ``value``.
-
-    ``best`` was the first index of the minimum before that write and
-    ``low`` its value. The minimum moves to ``index`` if ``value`` falls
-    below ``low`` or ties it at a lower index; only a rise of ``best``'s own
-    value needs a rescan. With finite values this is exactly ``argmin``.
-    """
-    if index == best:
-        return int(values.argmin()) if value > low else best
-    return index if value < low or (value == low and index < best) else best
 
 
 def _add_to_mean(means: _QRow, counts: list[int], index: int, sample: float, name: str) -> None:
@@ -782,9 +769,10 @@ class LatencyGreedyServerPolicy:
 
     Only the chosen server's estimate is refreshed each frame, so estimates
     for servers it stops visiting go stale; that is the point of comparing
-    against learners that keep exploring. ``learn`` keeps the first server
-    of minimal estimate current (``_first_min_after_write``), so ``select``
-    needs no scan; ``estimates`` is a read-only view.
+    against learners that keep exploring. The estimates are kept negated in
+    a ``_QRow``: its first maximum is the first server of minimal estimate,
+    ``==`` ties included, and ``write`` keeps it current, so ``select``
+    needs no scan. ``estimates`` is a read-only copy of the estimates.
     """
 
     def __init__(self, n_servers: int, beta: float = 0.3):
@@ -794,31 +782,32 @@ class LatencyGreedyServerPolicy:
             raise ConfigError(f"ewma beta must lie in (0, 1], got {beta}")
         self.n_servers = n_servers
         self.beta = beta
-        self._estimates = np.zeros(n_servers)
-        self.estimates = self._estimates.view()
-        self.estimates.flags.writeable = False
-        self._best = 0   # first server of minimal estimate
+        # -0.0, so that the estimates read +0.0 before any learn.
+        self._negated = _QRow(array("d", [-0.0]) * n_servers)
+
+    @property
+    def estimates(self) -> np.ndarray:
+        estimates = -self._negated.view
+        estimates.flags.writeable = False
+        return estimates
 
     def select(self, frame: int, state: ServerState | None = None, rng=None) -> int:
-        return self._best
+        return self._negated.greedy
 
     def learn(self, state, action, reward, next_state, total_latency_s=None) -> None:
         """Fold ``total_latency_s`` into ``action``'s estimate.
 
         An action outside ``[0, n_servers)`` raises ``IndexError``, and a
         non-finite latency ``ValueError``; either changes nothing, which
-        keeps every estimate finite, as ``_first_min_after_write`` needs.
+        keeps every estimate finite, as ``_QRow.write`` needs. Negation is
+        exact, so the estimates are those of the EWMA on plain values.
         """
         if not 0 <= action < self.n_servers:
             raise IndexError(f"server {action} outside [0, {self.n_servers})")
         if total_latency_s is None:
             return
-        estimates = self._estimates
-        value = self.beta * total_latency_s + (1.0 - self.beta) * estimates.item(action)
+        negated = self._negated
+        value = self.beta * total_latency_s + (1.0 - self.beta) * -negated.values[action]
         if not math.isfinite(value):
             raise ValueError(f"total_latency_s must be finite, got {total_latency_s}")
-        best = self._best
-        low = estimates.item(best)
-        estimates[action] = value
-        if (action == best) == (value > low):   # else the write cannot move the minimum
-            self._best = _first_min_after_write(estimates, best, low, action, value)
+        negated.write(action, -value)

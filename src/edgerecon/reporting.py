@@ -6,12 +6,13 @@ of the per-frame log, so any number shown can be recomputed from the CSVs.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .csvio import write_csv_rows
 
 POLICY_LABELS = {
     "qlearning": "Q-learning",
@@ -176,22 +177,12 @@ def write_report(bundle: ReportBundle, out_dir) -> list[Path]:
     json_path.write_text(json.dumps(bundle_to_dict(bundle), indent=2, sort_keys=True) + "\n")
     written.append(json_path)
 
-    for name, hist in bundle.subset_distribution.items():
-        path = out / f"{name}_subsets.csv"
-        shares = histogram_shares(hist)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mask", "count", "share_pct"])
-            for mask, count in hist.items():
-                writer.writerow([mask, count, f"{shares[mask]:.6f}"])
-        written.append(path)
-    for name, hist in bundle.server_distribution.items():
-        path = out / f"{name}_servers.csv"
-        shares = histogram_shares(hist)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["server", "count", "share_pct"])
-            for server, count in hist.items():
-                writer.writerow([server, count, f"{shares[server]:.6f}"])
-        written.append(path)
+    for suffix, key, distribution in (("subsets", "mask", bundle.subset_distribution),
+                                      ("servers", "server", bundle.server_distribution)):
+        for name, hist in distribution.items():
+            path = out / f"{name}_{suffix}.csv"
+            shares = histogram_shares(hist)
+            write_csv_rows(path, [key, "count", "share_pct"], [
+                map(str, hist), map(str, hist.values()), (f"{shares[k]:.6f}" for k in hist)])
+            written.append(path)
     return written

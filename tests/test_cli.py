@@ -299,6 +299,27 @@ class TestRun:
         config = write_config(tmp_path, SMALL_CONFIG + "traces_dir: /nonexistent/nowhere\n")
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path)) == EXIT_TRACE_ERROR
 
+    def test_config_naming_a_directory_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(tmp_path), "--out", str(out)) == EXIT_CONFIG_ERROR
+        assert f"config error: cannot read config file {tmp_path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["traces_dir", "quality_trace_path"])
+    def test_trace_path_of_the_wrong_kind_is_trace_error(self, tmp_path, capsys, key):
+        # traces_dir names a file; quality.trace_path names a directory.
+        if key == "traces_dir":
+            path = write_config(tmp_path, "", name="not-a-directory")
+            text = SMALL_CONFIG + f"traces_dir: {path}\n"
+        else:
+            path = tmp_path
+            text = SMALL_CONFIG + f"quality:\n  mode: trace\n  trace_path: {path}\n"
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == EXIT_TRACE_ERROR
+        assert f"trace error: {path}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_camera_axis_lists_five_policies(self, tmp_path, capsys):
@@ -329,6 +350,14 @@ class TestCompare:
     def test_unknown_policy_rejected(self, tmp_path, capsys):
         assert run_cli("compare", "--axis", "camera", "--policies", "nope",
                        "--out", str(tmp_path)) == EXIT_CONFIG_ERROR
+
+    def test_repeated_policy_rejected(self, tmp_path, capsys):
+        # Each name keys one row of the report, so a repeat would overwrite its histograms.
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--axis", "camera", "--policies", "qlearning,greedy3,qlearning",
+                       "--frames", "20", "--out", str(out)) == EXIT_CONFIG_ERROR
+        assert "'qlearning' more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_episodes_failing_is_runtime_error(self, tmp_path, capsys):
         # Events that cannot be placed fail inside each episode; the grid

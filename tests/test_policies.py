@@ -1233,11 +1233,16 @@ class TestLatencyGreedy:
         # Ties between servers (equal estimates) and estimates that rise.
         n_servers = data.draw(st.integers(1, 5))
         policy = LatencyGreedyServerPolicy(n_servers, beta=data.draw(st.sampled_from([0.3, 0.5, 1.0])))
-        latencies = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0, 10))
+        latencies = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]), st.floats(0, 10))
         learns = st.lists(st.tuples(st.integers(0, n_servers - 1), latencies), max_size=40)
+        ewma = [0.0] * n_servers   # the plain EWMA, updated as the policy's is
+        assert policy.estimates.tobytes() == array("d", ewma).tobytes()
         for server, latency in data.draw(learns):
             policy.learn(None, server, 0.0, None, total_latency_s=latency)
+            ewma[server] = policy.beta * latency + (1.0 - policy.beta) * ewma[server]
+            assert policy.estimates.tobytes() == array("d", ewma).tobytes()   # zeros' signs too
             assert policy.select(0) == int(policy.estimates.argmin())
+            assert_row_invariant(policy._negated)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_latency_rejected(self, bad):

@@ -1,10 +1,11 @@
 """Trace and frame-log CSV I/O against plain row-by-row references.
 
-``load_traces`` parses a file in one bulk pass when byte-level guards allow
-it and otherwise runs its row loop, which also words every error; the
-reference below is that loop alone, one cell at a time. Mutated copies of
-small valid trace files, and targeted edge cases, must load to the same
-arrays, or fail with the same error type and message. The writers join columns of cell strings
+``load_traces`` and ``load_quality_trace`` parse a file in one bulk pass
+when byte-level guards allow it and otherwise run the row loop, which also
+words every error; the references below are such loops alone, one cell at a
+time. Mutated copies of small valid trace and quality trace files, and
+targeted edge cases, must load to the same arrays, or fail with the same
+error type and message. The writers join columns of cell strings
 into rows; their bytes must equal ``csv.writer`` output on the same cells.
 """
 
@@ -12,6 +13,9 @@ import csv
 import math
 import tempfile
 import warnings
+from array import array
+from contextlib import closing
+from itertools import count, islice
 from pathlib import Path
 from unittest import mock
 
@@ -20,11 +24,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from edgerecon import disruption
+from edgerecon import csvio
 from edgerecon.csvio import _WRITE_BLOCK, read_csv_rows
 from edgerecon.disruption import CameraTrace, ServerLatencyTrace, load_traces, save_traces
-from edgerecon.environment import QualityModel, load_quality_trace, write_quality_trace
+from edgerecon.environment import MIN_VIEWS, QualityModel, load_quality_trace, write_quality_trace
 from edgerecon.errors import ConfigError, TraceFormatError, TraceSchemaError
+from edgerecon.masks import bitstring, mask_from_str
 from edgerecon.metrics import FRAME_LOG_HEADER, FrameLog, write_frame_log
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -267,7 +272,7 @@ def test_edge_case_traces_load_like_the_row_loop(tmp_path, target, old, new):
 
 def test_frame_chars_counts_the_decimal_frame_cells():
     for n in [*range(1, 1200), 9_999, 10_000, 10_001, 123_456]:
-        assert disruption._frame_chars(n) == len("".join(map(str, range(n)))), n
+        assert csvio._frame_chars(n) == len("".join(map(str, range(n)))), n
 
 
 @pytest.mark.parametrize("eol", [b"\r\n", b"\n"])
@@ -279,7 +284,7 @@ def test_well_formed_traces_take_the_bulk_parse(tmp_path, eol, final_eol, rows):
         lines = data.split(b"\r\n")[:rows + 1]
         data = eol.join(lines) + (eol if final_eol else b"")
         (tmp_path / name).write_bytes(data)
-    with mock.patch.object(disruption, "_read_matrix", side_effect=AssertionError("row loop")):
+    with mock.patch.object(csvio, "_read_matrix", side_effect=AssertionError("row loop")):
         camera, server = load_traces(tmp_path)
     want = reference_load(tmp_path)
     assert camera.availability.dtype == want[0].dtype and server.latency_ms.dtype == want[1].dtype
@@ -297,6 +302,145 @@ def test_saved_traces_load_like_the_row_loop(tmp_path):
     assert np.array_equal(loaded_cam.availability, camera.availability)
     assert np.array_equal(loaded_srv.latency_ms, server.latency_ms)
     loaded_cam.availability[0, 0] = 0    # loaded arrays are ordinary writable arrays
+
+
+def reference_quality_table(path):
+    """``load_quality_trace``'s table as a plain row loop builds it: the header checks, then
+    each row and each cell in turn."""
+    with closing(read_csv_rows(path)) as reader:
+        header = next(reader, None)
+        if not header or header[0] != "frame" or len(header) < 2:
+            raise TraceSchemaError(f"{path}: header must be 'frame,<mask>,...', got {header}")
+        try:
+            masks = [mask_from_str(col) for col in header[1:]]
+        except ValueError as exc:
+            raise TraceSchemaError(f"{path}: {exc}") from exc
+        widths = {len(col) for col in header[1:]}
+        if len(widths) != 1:
+            raise TraceSchemaError(f"{path}: mask columns have mixed lengths {sorted(widths)}")
+        width = widths.pop()
+        present = set(masks)
+        need = (1 << width) - 1 - width
+        have = sum(1 for m in present if m.bit_count() >= MIN_VIEWS)
+        if have < need:
+            missing = islice((m for m in count() if m.bit_count() >= MIN_VIEWS
+                              and m not in present), 3)
+            listing = ", ".join(bitstring(m, width) for m in missing)
+            raise TraceSchemaError(
+                f"{path}: missing {need - have} subset columns: {listing}"
+                + (", ..." if need - have > 3 else "")
+            )
+        cells = array("d")    # every quality cell, row after row
+        n_rows = 0
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise TraceSchemaError(
+                    f"{path}: line {lineno} has {len(row)} columns, expected {len(header)}"
+                )
+            try:
+                frame = int(row[0])
+            except ValueError as exc:
+                raise TraceFormatError(f"bad frame index {row[0]!r}", line=lineno) from exc
+            if frame != n_rows:
+                raise TraceSchemaError(
+                    f"{path}: frame index {frame} at line {lineno} does not match row position"
+                )
+            for cell in row[1:]:
+                try:
+                    value = float(cell)
+                except ValueError as exc:
+                    raise TraceFormatError(f"bad quality cell {cell!r}", line=lineno) from exc
+                if not math.isfinite(value) or value < 0:
+                    raise TraceFormatError(f"quality must be finite and >= 0, got {cell!r}",
+                                           line=lineno)
+                cells.append(value)
+            n_rows += 1
+    if not n_rows:
+        raise TraceSchemaError(f"{path}: no data rows")
+    # A subset named by more than one column takes its last column.
+    columns = {mask: i for i, mask in enumerate(masks)}
+    table = np.full((n_rows, 1 << width), np.nan)
+    table[:, list(columns)] = np.frombuffer(cells).reshape(n_rows, -1)[:, list(columns.values())]
+    return QualityModel(table).table
+
+
+def assert_same_quality_outcome(path: Path) -> None:
+    def load(path):
+        return load_quality_trace(path).table
+
+    got, want = (outcome(read, path) for read in (load, reference_quality_table))
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        assert got[1].shape == want[1].shape
+        assert got[1].tobytes() == want[1].tobytes()    # -0.0, 1e-300 and NaN bit for bit
+    else:
+        assert got[1] == want[1]
+
+
+@st.composite
+def quality_tables(draw):
+    """A valid quality trace's cell table, header first: every subset of two or more
+    cameras, plus perhaps a smaller subset or a repeated column, in any order."""
+    n_cameras = draw(st.integers(1, 3))
+    masks = [mask for mask in range(1 << n_cameras) if mask.bit_count() >= MIN_VIEWS]
+    masks += draw(st.lists(st.integers(0, (1 << n_cameras) - 1), min_size=not masks, max_size=2))
+    masks = draw(st.permutations(masks))
+    latency = st.floats(0, 1e6, allow_nan=False, allow_infinity=False)
+    rows = [["frame"] + [bitstring(mask, n_cameras) for mask in masks]]
+    rows += [[str(t)] + [repr(draw(latency)) for _ in masks] for t in range(draw(st.integers(0, 4)))]
+    return rows
+
+
+@SETTINGS
+@given(st.data())
+def test_mutated_quality_traces_load_like_the_row_loop(data):
+    table = data.draw(quality_tables())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "quality.csv"
+        path.write_bytes(data.draw(mutate(table)))
+        assert_same_quality_outcome(path)
+
+
+# The servers.csv pair above with a quality header: servers.csv's edge cases
+# apply to it, bar the one that edits its header.
+QUALITY_TRACE = SERVERS.replace(b"srv_1_ms,srv_2_ms", b"01,11")
+QUALITY_EDGE_CASES = {
+    name: (old.replace(b"srv_1_ms,srv_2_ms", b"01,11"), new.replace(b"srv_1_ms,srv_2_ms", b"01,11"))
+    for name, (target, old, new) in EDGE_CASES.items()
+    if target == "servers" and old.replace(b"srv_1_ms,srv_2_ms", b"01,11") in QUALITY_TRACE
+} | {
+    "blank line after the quality header": (b"11\r\n", b"11\r\n\r\n"),
+    "repeated column": (b"01,11", b"11,11"),
+    "missing subset": (b"01,11", b"01,10"),
+    "mixed widths": (b"01,11", b"01,111"),
+    "column not a bitstring": (b"01,11", b"01,1x"),
+    "frame header misspelt": (b"frame,", b"Frame,"),
+    "header only, quality": (QUALITY_TRACE, b"frame,01,11\r\n"),
+    "quality cell -0.0": (b"0.0,-0.0", b"-0.0,-0.0"),
+}
+
+
+@pytest.mark.parametrize("old, new", QUALITY_EDGE_CASES.values(), ids=QUALITY_EDGE_CASES.keys())
+def test_edge_case_quality_traces_load_like_the_row_loop(tmp_path, old, new):
+    assert old in QUALITY_TRACE
+    path = tmp_path / "quality.csv"
+    path.write_bytes(QUALITY_TRACE.replace(old, new, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_quality_outcome(path)
+
+
+@pytest.mark.parametrize("eol", [b"\r\n", b"\n"])
+@pytest.mark.parametrize("final_eol", [True, False])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_well_formed_quality_traces_take_the_bulk_parse(tmp_path, eol, final_eol, rows):
+    """Quality traces as write_quality_trace writes them, or with \\n line ends, never reach the row loop."""
+    path = tmp_path / "quality.csv"
+    lines = QUALITY_TRACE.split(b"\r\n")[:rows + 1]
+    path.write_bytes(eol.join(lines) + (eol if final_eol else b""))
+    with mock.patch.object(csvio, "_read_matrix", side_effect=AssertionError("row loop")):
+        table = load_quality_trace(path).table
+    assert table.tobytes() == reference_quality_table(path).tobytes()
 
 
 HEADERS = [b"", b"frame,cam_1,cam_2\r\n", b"frame,srv_1_ms\r\n", b"frame,011,101,110,111\r\n"]
