@@ -168,11 +168,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Parse a YAML (or JSON) config file into a validated ExperimentConfig."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:   # a directory, say
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -86,7 +86,7 @@ def all_finite_nonnegative(cells: np.ndarray, cell_chars: int) -> bool:
     return bool(np.isfinite(cells).all() and (cells >= 0).all())
 
 
-def _read_matrix(path, expected_header, parse_cell, dtype, name_position: bool) -> np.ndarray:
+def _read_matrix(path, expected_header, parse_cell, dtype) -> np.ndarray:
     """The data rows of a trace CSV read with ``csv`` and checked one cell at a time.
 
     This is the reference for ``_bulk_matrix``, and reads every file that
@@ -111,8 +111,8 @@ def _read_matrix(path, expected_header, parse_cell, dtype, name_position: bool) 
                 raise TraceFormatError(f"bad frame index {row[0]!r}", line=lineno) from exc
             if frame != len(parsed):
                 raise TraceSchemaError(
-                    f"{path}: frame index {frame} at line {lineno} does not match row position"
-                    + (f" {len(parsed)}" if name_position else "")
+                    f"{path}: frame index {frame} at line {lineno} does not match "
+                    f"row position {len(parsed)}"
                 )
             parsed.append([parse_cell(cell, lineno) for cell in row[1:]])
     return np.array(parsed, dtype=dtype)
@@ -181,14 +181,12 @@ def _bulk_matrix(path, expected_header, dtype, accept) -> np.ndarray | None:
     return cells.copy(order="C")
 
 
-def load_matrix(path, expected_header, dtype, accept, parse_cell, *,
-                name_position: bool = True) -> np.ndarray:
+def load_matrix(path, expected_header, dtype, accept, parse_cell) -> np.ndarray:
     """The data rows of a ``frame,<cell>,...`` CSV as one array: parsed in bulk when
     ``_bulk_matrix`` accepts the file, else by the row loop, which raises at the first
-    bad line; ``name_position`` adds the expected row position to a frame index error."""
+    bad line."""
     values = _bulk_matrix(path, expected_header, dtype, accept)
-    return values if values is not None else _read_matrix(path, expected_header, parse_cell,
-                                                          dtype, name_position)
+    return values if values is not None else _read_matrix(path, expected_header, parse_cell, dtype)
 
 
 def format_cells(column, format) -> list[str]:

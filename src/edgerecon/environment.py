@@ -296,7 +296,7 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
                 + (", ..." if need - have > 3 else "")
             )
     values = load_matrix(path, lambda _width: header, float, all_finite_nonnegative,
-                         finite_nonnegative("quality"), name_position=False)
+                         finite_nonnegative("quality"))
     if not len(values):
         raise TraceSchemaError(f"{path}: no data rows")
     # A subset named by more than one column takes its last column.

@@ -29,9 +29,6 @@ from .masks import MAX_CAMERAS, subsets
 class ActionSpace:
     """All camera subsets with k_min..k_max members as integer masks, in ascending order."""
 
-    n_cameras: int
-    k_min: int
-    k_max: int
     actions: tuple[int, ...]
     index: dict[int, int] = field(repr=False)
 
@@ -47,13 +44,7 @@ def enumerate_actions(n_cameras: int, k_min: int, k_max: int) -> ActionSpace:
             f"got k_min={k_min}, k_max={k_max}, n_cameras={n_cameras}"
         )
     actions = tuple(subsets(n_cameras, k_min, k_max))
-    return ActionSpace(
-        n_cameras=n_cameras,
-        k_min=k_min,
-        k_max=k_max,
-        actions=actions,
-        index={mask: i for i, mask in enumerate(actions)},
-    )
+    return ActionSpace(actions=actions, index={mask: i for i, mask in enumerate(actions)})
 
 
 # Raw 64-bit outputs a DrawStream reads from its generator per refill.
@@ -392,7 +383,7 @@ class AgentParams:
     eps_max: float = setting(Real("[eps_min, 1]"), 1.0)
     alpha_min: float = setting(Real("(0, 1]"), 0.05)
     alpha_max: float = setting(Real("[alpha_min, 1]"), 0.9)
-    # The reward history holds 2 * degradation_window values in a deque,
+    # The detector holds 2 * degradation_window rewards in a deque,
     # whose length is a C ssize_t.
     degradation_window: int = setting(Integer(f"[1, {2**62})"), 20)
     degradation_drop: float = setting(Real("[0, inf)"), 0.1)
@@ -423,38 +414,14 @@ def detect_degradation(rewards, window: int, drop: float) -> bool:
     return sum(tail) - previous < -window * Fraction(drop)
 
 
-def adapt_params(alpha: float, epsilon: float, params: AgentParams, degraded: bool) -> tuple[float, float]:
-    """Boost exploration and learning rate on degradation, decay them otherwise.
-
-    Each clamp is the comparison ``min(value, cap)`` or ``max(value, floor)``
-    makes: the value stays unless the bound is strictly beyond it, so the
-    results equal the builtins' bit for bit, NaN and -0.0 included.
-    """
-    if degraded:
-        epsilon *= params.eta_inc
-        cap = params.eps_max
-        epsilon = cap if cap < epsilon else epsilon
-        alpha *= params.lambda_inc
-        cap = params.alpha_max
-        alpha = cap if cap < alpha else alpha
-    else:
-        epsilon *= params.eta_dec
-        floor = params.eps_min
-        epsilon = floor if floor > epsilon else epsilon
-        alpha *= params.lambda_dec
-        floor = params.alpha_min
-        alpha = floor if floor > alpha else alpha
-    return alpha, epsilon
-
-
 class DegradationDetector:
     """``detect_degradation`` over a sliding reward history, in O(1) per reward.
 
-    ``push(r)`` appends ``r`` to ``history`` (the last 2 * window rewards)
-    and returns ``detect_degradation(history, window, drop)``. Every finite
-    double is an integer number of units of 2**-k for some k <= 1074, so
-    the detector keeps the history, the exact gap (recent window minus
-    previous) and the threshold as ints in units of 2**-``_bits``, where
+    ``push(r)`` returns ``detect_degradation`` of every reward pushed so
+    far, ``r`` included. Every finite double is an integer number of units
+    of 2**-k for some k <= 1074, so the detector keeps the last 2 * window
+    rewards (``_units``), the exact gap (recent window minus previous) and
+    the threshold as ints in units of 2**-``_bits``, where
     ``_bits`` is the most fractional bits of ``drop`` and of any reward
     pushed so far; nothing is rounded. A reward no finer than the unit
     converts with one exact multiplication by ``_scale`` = 2.0**``_bits``
@@ -468,7 +435,6 @@ class DegradationDetector:
             raise ValueError(f"window must be at least 1, got {window}")
         self.window = window
         self._size = size = 2 * window
-        self.history: deque[float] = deque(maxlen=size)
         self._units: deque[int] = deque(maxlen=size)
         self._gap = 0                  # recent window minus previous, in units
         self._threshold = 0            # _to_units may shift it before it is set
@@ -502,12 +468,11 @@ class DegradationDetector:
         else:
             self._gap += x
         units.append(x)
-        self.history.append(reward)
         return held + 1 >= self._size and self._gap < self._threshold
 
 
 class _QLearner:
-    """The Q agents' shared state and update: table, alpha/epsilon and the reward history.
+    """The Q agents' shared state and update: table, alpha/epsilon and the degradation detector.
 
     Each agent holds the ``_QRow`` handles of its table: ``_bind`` binds a
     handle once its state's row is materialized, and until then the state
@@ -517,17 +482,19 @@ class _QLearner:
     action. ``learn`` looks up the action and the rows, then calls
     ``_update``, which is ``q_update``: the same float expression, the same
     ``ValueError`` when the new value is not finite, and ``_QRow.write`` in
-    place of ``q_update``'s rescan. An adaptive agent then applies
-    ``adapt_params`` to its ``DegradationDetector``'s decision, with the
-    clamp bounds read once here; the detector owns ``reward_history``, to
-    which a fixed agent only appends. tests/test_policies.py holds both
-    agents to a loop of ``q_update``, ``detect_degradation`` and
-    ``adapt_params``.
+    place of ``q_update``'s rescan. A fixed agent stops there. An adaptive
+    agent pushes the reward to its ``DegradationDetector``; on degradation
+    it multiplies epsilon by eta_inc and alpha by lambda_inc, capped at
+    eps_max and alpha_max, and otherwise by eta_dec and lambda_dec, floored
+    at eps_min and alpha_min. Each clamp is the comparison ``min(value,
+    cap)`` or ``max(value, floor)`` makes, so the results equal the
+    builtins' bit for bit, NaN and -0.0 included. tests/test_policies.py
+    holds both agents to a loop of ``q_update``, ``detect_degradation`` and
+    ``tests/references.min_max_adapt_params``.
     """
 
     def __init__(self, n_actions: int, params: AgentParams):
         params.validate()
-        self.params = params
         self.alpha = params.alpha
         self.epsilon = params.epsilon
         self.table = QTable(n_actions)
@@ -542,9 +509,6 @@ class _QLearner:
         if params.adaptive:
             self._detector = DegradationDetector(params.degradation_window,
                                                  params.degradation_drop)
-            self.reward_history = self._detector.history
-        else:
-            self.reward_history: deque[float] = deque(maxlen=2 * params.degradation_window)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -573,8 +537,8 @@ class _QLearner:
         row.write(action, value)
         detector = self._detector
         if detector is None:
-            self.reward_history.append(reward)
-        elif detector.push(reward):
+            return
+        if detector.push(reward):
             eta, cap, lam, alpha_cap = self._boost
             epsilon, alpha = self.epsilon * eta, self.alpha * lam
             self.epsilon = cap if cap < epsilon else epsilon
@@ -593,7 +557,6 @@ class QLearningCameraPolicy(_QLearner):
 
     def __init__(self, space: ActionSpace, params: AgentParams):
         super().__init__(len(space), params)
-        self.space = space
         self._actions = space.actions
         self._index = space.index
         self._row: _QRow | None = None   # the STATE row, once materialized

@@ -49,32 +49,19 @@ _PERCENTS = np.array([0.0, 25.0, 50.0, 75.0, 100.0])
 
 
 def five_number_summary(values) -> tuple[float, float, float, float, float]:
-    """(min, q1, median, q3, max); quartiles via linear interpolation.
+    """(min, q1, median, q3, max); quartiles via ``np.percentile``'s linear interpolation.
 
-    ``values`` is a sequence of finite floats; an ``array("d")`` is read in
-    place. The result is ``np.percentile``'s, except where its interpolation
-    overflows: it takes ``b - a`` of two neighbours, which overflows for
-    finite values of opposite sign and huge magnitude, such as 1.8e308 and
-    -3e292. There each value is the overflow-free ``a*(1 - t) + b*t``,
-    clipped to ``[a, b]``.
+    ``values`` is a sequence of finite floats >= 0, such as a run's total
+    latencies; an ``array("d")`` is read in place. Any other value raises
+    ``ValueError``. On this domain the interpolation's ``b - a`` of two
+    neighbours cannot overflow.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return (0.0, 0.0, 0.0, 0.0, 0.0)
-    try:
-        with np.errstate(over="raise"):
-            q = np.percentile(arr, _PERCENTS)
-    except FloatingPointError:
-        ordered = np.sort(arr)
-        position = _PERCENTS / 100 * (arr.size - 1)
-        below = position.astype(int)   # floor, as position >= 0
-        t = position - below
-        a, b = ordered[below], ordered[np.minimum(below + 1, arr.size - 1)]
-        # Terms of opposite sign cannot overflow; a sum of two of one sign
-        # can, by rounding, and the clip brings it back to b.
-        with np.errstate(over="ignore"):
-            q = np.clip(a * (1 - t) + b * t, a, b)
-    return tuple(float(v) for v in q)
+    if not 0.0 <= arr.min() <= arr.max() < np.inf:
+        raise ValueError("five_number_summary needs finite values >= 0")
+    return tuple(float(v) for v in np.percentile(arr, _PERCENTS))
 
 
 def histogram_shares(histogram) -> dict:

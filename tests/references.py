@@ -3,8 +3,8 @@
 They work on masks as bitstrings, without integer arithmetic: an enumerator
 that filters every string of 0/1 characters, and the synthetic quality table
 as a dict from bitstring to base quality, the form of a config's
-``quality.table``. ``min_max_adapt_params`` is ``policies.adapt_params``
-written with the builtins ``min`` and ``max``.
+``quality.table``. ``min_max_adapt_params`` is the Q agents' reference for
+adapting alpha and epsilon, written with the builtins ``min`` and ``max``.
 """
 
 import math

@@ -15,7 +15,8 @@ from edgerecon.disruption import DisruptionParams, generate_camera_trace, genera
 from edgerecon.environment import LatencyModel, step
 from edgerecon.metrics import (RewardWeights, Thresholds, camera_reward, latency_score,
                                quality_score, reliability, server_reward, write_frame_log)
-from edgerecon.policies import (AgentParams, QTable, adapt_params, enumerate_actions, q_update)
+from edgerecon.policies import (AgentParams, QLearningCameraPolicy, QTable, enumerate_actions,
+                                q_update)
 
 
 @contextlib.contextmanager
@@ -332,6 +333,7 @@ def test_criterion_9_small_scale_oracle():
 def test_criterion_10_adaptive_clamps():
     with criterion(10, "adaptive clamp fuzzing"):
         rng = np.random.default_rng(99)
+        space = enumerate_actions(3, 2, 3)
         for _ in range(20):
             lo_e, hi_e = sorted(rng.uniform(0.01, 1.0, 2))
             lo_a, hi_a = sorted(rng.uniform(0.01, 1.0, 2))
@@ -346,9 +348,12 @@ def test_criterion_10_adaptive_clamps():
                 eps_min=float(lo_e), eps_max=float(hi_e),
                 alpha_min=float(lo_a), alpha_max=float(hi_a),
             )
-            alpha, epsilon = params.alpha, params.epsilon
+            # An adaptive agent whose detector decides as the rng says.
+            agent = QLearningCameraPolicy(space, params)
+            mask = agent.select(np.random.default_rng(0))
+            agent._detector.push = lambda reward: degraded
             for _ in range(500):
                 degraded = bool(rng.random() < 0.5)
-                alpha, epsilon = adapt_params(alpha, epsilon, params, degraded)
-                assert params.eps_min <= epsilon <= params.eps_max
-                assert params.alpha_min <= alpha <= params.alpha_max
+                agent.learn(mask, 0.0)
+                assert params.eps_min <= agent.epsilon <= params.eps_max
+                assert params.alpha_min <= agent.alpha <= params.alpha_max

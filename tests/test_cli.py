@@ -305,6 +305,14 @@ class TestRun:
         assert f"config error: cannot read config file {tmp_path}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_bytes(b"seed: 1\n\xff\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == EXIT_CONFIG_ERROR
+        assert f"config error: {config}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["traces_dir", "quality_trace_path"])
     def test_trace_path_of_the_wrong_kind_is_trace_error(self, tmp_path, capsys, key):
         # traces_dir names a file; quality.trace_path names a directory.

@@ -10,7 +10,8 @@ from edgerecon.errors import ConfigError
 from edgerecon.masks import MAX_CAMERAS
 from edgerecon.metrics import write_frame_log
 from edgerecon.policies import (GreedyTripletCameraPolicy, QLearningServerPolicy,
-                                RoundRobinServerPolicy, adapt_params, detect_degradation)
+                                RoundRobinServerPolicy, detect_degradation)
+from references import min_max_adapt_params
 from test_golden import _delayed_case, _server_case
 
 
@@ -203,7 +204,7 @@ class TestAdaptiveBookkeeping:
     @ADAPTIVE_CASES
     def test_logged_epsilon_alpha_match_reference_loop(self, config, side):
         # The frame-t columns hold the values after the learn calls of frames
-        # 0..t-1-delay, each from detect_degradation + adapt_params over the
+        # 0..t-1-delay, each from detect_degradation + min_max_adapt_params over the
         # rewards learned so far.
         _, log = run_episode(config)
         params = getattr(config, f"resolved_{side}_agent")()
@@ -219,7 +220,7 @@ class TestAdaptiveBookkeeping:
                 degraded = detect_degradation(history, params.degradation_window,
                                               params.degradation_drop)
                 fired += degraded
-                alpha, epsilon = adapt_params(alpha, epsilon, params, degraded)
+                alpha, epsilon = min_max_adapt_params(alpha, epsilon, params, degraded)
             assert getattr(log, f"{side}_epsilon")[frame] == epsilon, frame
             assert getattr(log, f"{side}_alpha")[frame] == alpha, frame
         assert fired   # the detector fired at least once on these configs

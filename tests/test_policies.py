@@ -4,7 +4,10 @@ import re
 import struct
 import tempfile
 from array import array
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from edgerecon.masks import MAX_CAMERAS, bitstring, mask_from_str
 from edgerecon.policies import (ActionSpace, AgentParams, BanditCameraPolicy, DegradationDetector,
                                 GreedyTripletCameraPolicy, LatencyGreedyServerPolicy, QTable,
                                 QLearningCameraPolicy, QLearningServerPolicy, RandomCameraPolicy,
-                                RoundRobinServerPolicy, ServerState, _QLearner, _QRow, adapt_params,
+                                RoundRobinServerPolicy, ServerState, _QLearner, _QRow,
                                 detect_degradation, enumerate_actions, epsilon_greedy, q_update)
 from references import bitstring_subsets, min_max_adapt_params
 
@@ -408,26 +411,86 @@ def reward_streams(draw):
     return window, drop, rewards
 
 
+def fractional_bits(value: float) -> int:
+    return value.as_integer_ratio()[1].bit_length() - 1
+
+
+def assert_detector_holds(detector: DegradationDetector, drop: float, rewards: list) -> None:
+    """``detector``'s state after pushing ``rewards``: the last 2 * window of them
+    exactly, in units of 2**-_bits, the finest of drop's and the rewards', and the
+    recent window's sum minus the previous window's."""
+    window = detector.window
+    bits = max(map(fractional_bits, [drop, *rewards]))
+    units = [Fraction(r) * 2**bits for r in rewards[-2 * window:]]
+    assert all(u.denominator == 1 for u in units)
+    assert detector._bits == bits
+    assert list(detector._units) == units
+    assert detector._gap == sum(units[window:]) - sum(units[:window])
+
+
+def forced_agent(params: AgentParams):
+    """An adaptive camera agent on ``params``, unvalidated, and its ``learn(degraded)``.
+
+    ``learn`` forces the detector's decision to ``degraded``, learns reward
+    0.0, which keeps every Q value 0, and returns the agent's (alpha,
+    epsilon). Unvalidated params drive the clamps with factors and bounds
+    that no config passes.
+    """
+    with mock.patch.object(AgentParams, "validate"):
+        agent = QLearningCameraPolicy(enumerate_actions(3, 2, 3), replace(params, adaptive=True))
+    mask = agent.select(np.random.default_rng(0))
+    decision = [False]
+    agent._detector.push = lambda reward: decision[0]
+
+    def learn(degraded: bool) -> tuple[float, float]:
+        decision[0] = degraded
+        agent.learn(mask, 0.0)
+        return agent.alpha, agent.epsilon
+
+    return agent, learn
+
+
+def adapted(alpha: float, epsilon: float, params: AgentParams, degraded: bool):
+    """(alpha, epsilon) of a ``forced_agent`` that held ``alpha`` and ``epsilon`` after one learn."""
+    agent, learn = forced_agent(params)
+    agent.alpha, agent.epsilon = alpha, epsilon
+    return learn(degraded)
+
+
+def learner_state(agent) -> tuple:
+    """A Q agent's table (repr keeps -0.0 apart), alpha, epsilon and detector state."""
+    detector = agent._detector
+    return (repr(agent.table.to_dict()), agent.alpha, agent.epsilon,
+            list(detector._units), detector._gap, detector._bits)
+
+
+def same_bits(got, want) -> bool:
+    return [struct.pack("d", v) for v in got] == [struct.pack("d", v) for v in want]
+
+
 class TestAdaptation:
     def test_degradation_boost(self):
         params = AgentParams(adaptive=True, eta_inc=2.0, eps_max=0.5, lambda_inc=1.5,
                              alpha_max=0.9)
-        alpha, epsilon = adapt_params(0.4, 0.2, params, degraded=True)
+        alpha, epsilon = adapted(0.4, 0.2, params, degraded=True)
         assert epsilon == pytest.approx(0.4)
         assert alpha == pytest.approx(0.6)
+        assert same_bits((alpha, epsilon), min_max_adapt_params(0.4, 0.2, params, True))
 
     def test_boost_clamped_at_max(self):
         params = AgentParams(adaptive=True, eta_inc=10.0, eps_max=0.5, lambda_inc=10.0,
                              alpha_max=0.9)
-        alpha, epsilon = adapt_params(0.4, 0.2, params, degraded=True)
+        alpha, epsilon = adapted(0.4, 0.2, params, degraded=True)
         assert epsilon == 0.5
         assert alpha == 0.9
+        assert same_bits((alpha, epsilon), min_max_adapt_params(0.4, 0.2, params, True))
 
     def test_decay_clamped_at_min(self):
         params = AgentParams(adaptive=True, eps_min=0.05, alpha_min=0.05)
-        alpha, epsilon = adapt_params(0.05, 0.05, params, degraded=False)
+        alpha, epsilon = adapted(0.05, 0.05, params, degraded=False)
         assert epsilon == 0.05
         assert alpha == 0.05
+        assert same_bits((alpha, epsilon), min_max_adapt_params(0.05, 0.05, params, False))
 
     @settings(max_examples=300)
     @given(st.data(), st.booleans())
@@ -447,9 +510,14 @@ class TestAdaptation:
             pairs = (params.lambda_dec, params.alpha_min), (params.eta_dec, params.eps_min)
         alpha, epsilon = (data.draw(st.just(bound / factor if factor else bound) | specials
                                     | st.floats()) for factor, bound in pairs)
-        got = adapt_params(alpha, epsilon, params, degraded)
         want = min_max_adapt_params(alpha, epsilon, params, degraded)
-        assert [struct.pack("d", v) for v in got] == [struct.pack("d", v) for v in want]
+        if math.isfinite(alpha):
+            assert same_bits(adapted(alpha, epsilon, params, degraded), want)
+        else:
+            # The agent's alpha lies in (0, 1]; a non-finite one makes the Q
+            # value non-finite, so learn raises before the clamps.
+            with pytest.raises(ValueError, match="finite"):
+                adapted(alpha, epsilon, params, degraded)
 
     @pytest.mark.parametrize("alpha, epsilon, degraded, bound", [
         (0.45, 0.45, True, 0.9), (0.025, 0.025, False, 0.05),   # products equal the bounds
@@ -460,23 +528,21 @@ class TestAdaptation:
                              eps_min=bound, eps_max=bound, alpha_min=bound, alpha_max=bound)
         products = (alpha * 2.0, epsilon * 2.0)
         assert products == (bound, bound)
-        for result in (adapt_params(alpha, epsilon, params, degraded),
+        for result in (adapted(alpha, epsilon, params, degraded),
                        min_max_adapt_params(alpha, epsilon, params, degraded)):
-            assert [struct.pack("d", v) for v in result] == [struct.pack("d", v) for v in products]
+            assert same_bits(result, products)
 
     def test_flat_history_decays_monotonically(self):
         params = AgentParams(alpha=0.5, epsilon=0.8, adaptive=True, degradation_window=5)
-        alpha, epsilon = params.alpha, params.epsilon
-        history = [0.6] * 10
-        last_eps = epsilon
+        agent = QLearningCameraPolicy(enumerate_actions(3, 2, 3), params)
+        mask = agent.select(np.random.default_rng(0))
+        last_eps = agent.epsilon
         for _ in range(50):
-            degraded = detect_degradation(history, params.degradation_window,
-                                          params.degradation_drop)
-            assert not degraded
-            alpha, epsilon = adapt_params(alpha, epsilon, params, degraded)
-            assert epsilon <= last_eps
-            last_eps = epsilon
-        assert epsilon >= params.eps_min
+            agent.learn(mask, 0.6)
+            assert agent.epsilon <= last_eps
+            last_eps = agent.epsilon
+        assert agent.epsilon >= params.eps_min
+        assert agent.epsilon < params.epsilon   # a flat history never degrades
 
     def test_detect_degradation_windows(self):
         # Previous window mean 0.9, recent 0.5: drop 0.4 > 0.1 threshold.
@@ -494,7 +560,7 @@ class TestAdaptation:
         for reward in rewards:
             history.append(reward)
             assert detector.push(reward) == detect_degradation(history, window, drop)
-            assert list(detector.history) == history[-2 * window:]
+            assert_detector_holds(detector, drop, history)
 
     @pytest.mark.parametrize("window, drop, rewards, degraded", [
         # The recent sum is 0.0 and the previous one exactly 3 * 0.1: a fall of
@@ -531,7 +597,7 @@ class TestAdaptation:
     @pytest.mark.parametrize("reward", [math.inf, -math.inf, math.nan])
     def test_detector_rejects_non_finite_reward_unchanged(self, reward):
         def state(detector):
-            return (detector._gap, list(detector.history), list(detector._units),
+            return (detector._gap, list(detector._units),
                     detector._bits, detector._scale, detector._threshold)
 
         for window, drop, rewards in [
@@ -556,9 +622,6 @@ class TestAdaptation:
         (2, 0.1, [1.7e308, 1.7e308, -1.7e308, -1.7e308, 0.1, 1.7e308]),
     ])
     def test_detector_refines_its_unit(self, window, drop, rewards):
-        def fractional_bits(value):
-            return value.as_integer_ratio()[1].bit_length() - 1
-
         detector = DegradationDetector(window, drop)
         slow = []
         to_units = detector._to_units
@@ -614,18 +677,19 @@ class TestAdaptation:
             learn(reward)
             history.append(reward)
             degraded = detect_degradation(history, window, drop)
-            alpha, epsilon = adapt_params(alpha, epsilon, params, degraded)
+            alpha, epsilon = min_max_adapt_params(alpha, epsilon, params, degraded)
             assert decisions[-1] == degraded
             assert (agent.alpha, agent.epsilon) == (alpha, epsilon)
-        assert list(agent.reward_history) == history[-2 * window:]
+        assert_detector_holds(agent._detector, drop, history)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.booleans(), st.booleans())
     def test_agent_matches_q_update_reference_loop(self, data, server, adaptive):
         # Each agent's select and learn against epsilon_greedy, q_update,
-        # detect_degradation and adapt_params on a separate QTable: the
-        # table (repr keeps -0.0 apart from 0.0), its greedy actions, alpha,
-        # epsilon and the reward history after every learn, the selections
+        # detect_degradation and min_max_adapt_params on a separate QTable:
+        # the table (repr keeps -0.0 apart from 0.0), its greedy actions,
+        # alpha, epsilon and the detector's state after every learn (a fixed
+        # agent has no detector), the selections
         # before it, and each of the agent's rows: greedy action and bound.
         # Rewards near +-1e308 make new values overflow, which both reject.
         # Tables may start from a snapshot; a camera may have 4083 actions.
@@ -691,7 +755,7 @@ class TestAdaptation:
                 learn()
                 history.append(reward)
                 if adaptive:
-                    alpha, epsilon = adapt_params(
+                    alpha, epsilon = min_max_adapt_params(
                         alpha, epsilon, params,
                         detect_degradation(history, window, params.degradation_drop))
             assert repr(agent.table.to_dict()) == repr(table.to_dict())
@@ -700,7 +764,10 @@ class TestAdaptation:
             for row in agent.table._rows.values():
                 assert_row_invariant(row)
             assert (agent.alpha, agent.epsilon) == (alpha, epsilon)
-            assert list(agent.reward_history) == history[-2 * window:]
+            if adaptive:
+                assert_detector_holds(agent._detector, params.degradation_drop, history)
+            else:
+                assert agent._detector is None
 
     @pytest.mark.parametrize("server", [False, True])
     def test_ties_move_the_greedy_action_as_argmax(self, server):
@@ -731,7 +798,7 @@ class TestAdaptation:
     @pytest.mark.parametrize("server", [False, True])
     def test_overflowing_learn_changes_nothing(self, server):
         # 1.7e308 + 0.9 * 1.7e308 overflows. The learn that would store inf
-        # raises and leaves the table, alpha, epsilon and the history as they
+        # raises and leaves the table, alpha, epsilon and the detector as they
         # were; so does a first write to a row, which stays unmaterialized.
         params = AgentParams(alpha=1.0, gamma=0.9, epsilon=1.0, adaptive=True,
                              degradation_window=1)
@@ -752,29 +819,29 @@ class TestAdaptation:
                 learn(fresh, math.inf)
             assert agent.table.rows == {}
         learn(here, 1.7e308)
-        before = (repr(agent.table.to_dict()), agent.alpha, agent.epsilon,
-                  list(agent.reward_history))
+        before = learner_state(agent)
         for state in (here, fresh):
             with pytest.raises(ValueError, match="finite"):
                 learn(state, 1.7e308)
-            assert (repr(agent.table.to_dict()), agent.alpha, agent.epsilon,
-                    list(agent.reward_history)) == before
+            assert learner_state(agent) == before
 
-    def test_fixed_agent_keeps_history_only(self):
+    def test_fixed_agent_has_no_detector_and_fixed_rates(self):
+        # Rewards that degrade under window 2 leave a fixed agent's rates alone.
         space = enumerate_actions(3, 2, 3)
         agent = QLearningCameraPolicy(space, AgentParams(degradation_window=2))
+        assert agent._detector is None
         mask = agent.select(np.random.default_rng(0))
         for reward in (0.9, 0.9, 0.1, 0.1, 0.0):
             agent.learn(mask, reward)
-        assert list(agent.reward_history) == [0.9, 0.1, 0.1, 0.0]
-        assert (agent.alpha, agent.epsilon) == (AgentParams.alpha, AgentParams.epsilon)
+            assert (agent.alpha, agent.epsilon) == (AgentParams.alpha, AgentParams.epsilon)
+        assert agent._detector is None
 
     def test_fuzzed_adaptation_never_leaves_clamps(self):
         params = AgentParams(alpha=0.5, epsilon=0.5, adaptive=True)
         rng = np.random.default_rng(42)
-        alpha, epsilon = params.alpha, params.epsilon
+        _, learn = forced_agent(params)
         for _ in range(10_000):
-            alpha, epsilon = adapt_params(alpha, epsilon, params, degraded=bool(rng.random() < 0.3))
+            alpha, epsilon = learn(bool(rng.random() < 0.3))
             assert params.eps_min <= epsilon <= params.eps_max
             assert params.alpha_min <= alpha <= params.alpha_max
 
@@ -925,13 +992,11 @@ class TestServerQLearning:
         rng = np.random.default_rng(0)
         agent.select(0, state, rng)
         agent.learn(state, 1, 0.5, state)
-        before = (repr(agent.table.to_dict()), agent.alpha, agent.epsilon,
-                  list(agent.reward_history))
+        before = learner_state(agent)
         for here in (state, ServerState(1, 0)):
             with pytest.raises(IndexError):
                 agent.learn(here, action, 1.0, state)
-            assert (repr(agent.table.to_dict()), agent.alpha, agent.epsilon,
-                    list(agent.reward_history)) == before
+            assert learner_state(agent) == before
         assert agent.select(0, state, rng) == 1
         assert_row_invariant(agent.table._rows[state.key()])
 

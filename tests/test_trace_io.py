@@ -343,7 +343,8 @@ def reference_quality_table(path):
                 raise TraceFormatError(f"bad frame index {row[0]!r}", line=lineno) from exc
             if frame != n_rows:
                 raise TraceSchemaError(
-                    f"{path}: frame index {frame} at line {lineno} does not match row position"
+                    f"{path}: frame index {frame} at line {lineno} does not match "
+                    f"row position {n_rows}"
                 )
             for cell in row[1:]:
                 try:
@@ -441,6 +442,21 @@ def test_well_formed_quality_traces_take_the_bulk_parse(tmp_path, eol, final_eol
     with mock.patch.object(csvio, "_read_matrix", side_effect=AssertionError("row loop")):
         table = load_quality_trace(path).table
     assert table.tobytes() == reference_quality_table(path).tobytes()
+
+
+def test_swapped_frame_index_reads_alike_in_trace_and_quality_loaders(tmp_path):
+    # Rows 1 and 2 of the same cells under a servers.csv and a quality header.
+    def swapped(trace):
+        return trace.replace(b"\r\n1,0.0", b"\r\n2,0.0").replace(b"\r\n2,1e+300", b"\r\n1,1e+300")
+
+    (tmp_path / "cameras.csv").write_bytes(CAMERAS)
+    (tmp_path / "servers.csv").write_bytes(swapped(SERVERS))
+    (tmp_path / "quality.csv").write_bytes(swapped(QUALITY_TRACE))
+    for path, load in ((tmp_path / "servers.csv", lambda: load_traces(tmp_path)),
+                       (tmp_path / "quality.csv", lambda: load_quality_trace(tmp_path / "quality.csv"))):
+        with pytest.raises(TraceSchemaError) as info:
+            load()
+        assert str(info.value) == f"{path}: frame index 2 at line 3 does not match row position 1"
 
 
 HEADERS = [b"", b"frame,cam_1,cam_2\r\n", b"frame,srv_1_ms\r\n", b"frame,011,101,110,111\r\n"]
