@@ -68,12 +68,10 @@ def _load(args) -> ExperimentConfig:
         return apply_overrides(config, seed=args.seed, n_frames=args.frames)
     # No config file: build the relevant preset directly at the requested size.
     preset = server_study_config if getattr(args, "axis", None) == "server" else camera_study_config
-    kwargs = {}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.frames is not None:
-        kwargs["n_frames"] = args.frames
-    return preset(**kwargs)
+    overrides = {"seed": args.seed, "n_frames": args.frames}
+    config = preset(**{name: value for name, value in overrides.items() if value is not None})
+    config.validate()
+    return config
 
 
 def _snapshot_qtable(policy, path: Path) -> None:

@@ -227,50 +227,28 @@ class _QRow:
 class QTable:
     """Lazily materialized (state, action) value table; absent entries read as 0.
 
-    Each materialized state has a ``_QRow``: the values, the greedy action
-    and a bound on the other actions' values, which lets a write that lowers
-    the greedy value skip the rescan while it stays above the bound. The Q
-    agents hold these rows directly. An unmaterialized state reads as
-    ``_blank``, a row of zeros that nothing writes and no snapshot holds.
-    ``rows`` and ``row()`` hand out read-only views of the values.
+    ``_rows``, the one store of the rows, maps each materialized state (any
+    hashable key; the Q agents use their own states) to its ``_QRow``; the
+    agents read it directly and ``_handle`` materializes a row. An absent
+    state reads as ``_blank``, a row of zeros that nothing writes and no
+    snapshot holds. ``to_dict()`` and ``save_json()`` are the read surface,
+    keyed by ``str(state)``: an output format, not a resume format, since a
+    loaded table's states are those strings, which no agent's states equal.
     """
 
     def __init__(self, n_actions: int):
         self.n_actions = n_actions
-        self.rows: dict[str, np.ndarray] = {}
-        self._rows: dict[str, _QRow] = {}
+        self._rows: dict = {}
         self._blank = _QRow(array("d", [0.0]) * n_actions)
 
-    def _add(self, state: str, values: array) -> _QRow:
-        row = self._rows[state] = _QRow(values)
-        self.rows[state] = row.view
-        return row
-
-    def _handle(self, state: str) -> _QRow:
+    def _handle(self, state) -> _QRow:
         """The ``_QRow`` of ``state``, materializing it."""
-        row = self._rows.get(state)
-        return self._add(state, array("d", [0.0]) * self.n_actions) if row is None else row
-
-    def row(self, state: str) -> np.ndarray:
-        return self._handle(state).view
-
-    def greedy(self, state: str) -> int:
-        """First action of maximal value in ``state``, materializing its row."""
-        return self._handle(state).greedy
-
-    def value(self, state: str, action: int) -> float:
-        row = self._rows.get(state)
-        return 0.0 if row is None else row.values[action]
-
-    def max_value(self, state: str) -> float:
-        row = self._rows.get(state)
-        return 0.0 if row is None else row.values[row.greedy]
+        rows = self._rows
+        return rows.get(state) or rows.setdefault(state, _QRow(array("d", [0.0]) * self.n_actions))
 
     def to_dict(self) -> dict:
-        return {
-            "n_actions": self.n_actions,
-            "rows": {state: row.values.tolist() for state, row in sorted(self._rows.items())},
-        }
+        rows = sorted((str(state), row.values.tolist()) for state, row in self._rows.items())
+        return {"n_actions": self.n_actions, "rows": dict(rows)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "QTable":
@@ -295,7 +273,7 @@ class QTable:
                 finite = False
             if not finite:
                 raise ConfigError(f"snapshot row {state!r} holds a non-finite or non-numeric value")
-            table._add(state, array("d", cells))
+            table._rows[state] = _QRow(array("d", cells))
         return table
 
     def save_json(self, path) -> None:
@@ -325,7 +303,7 @@ class QTable:
         return cls.from_dict(payload)
 
 
-def q_update(table: QTable, state: str, action: int, reward: float, next_state: str,
+def q_update(table: QTable, state, action: int, reward: float, next_state,
              alpha: float, gamma: float) -> float:
     """One temporal-difference step; returns the new value of (state, action).
 
@@ -352,12 +330,22 @@ def q_update(table: QTable, state: str, action: int, reward: float, next_state: 
     return value
 
 
-def _add_to_mean(means: _QRow, counts: list[int], index: int, sample: float, name: str) -> None:
-    """Fold ``sample`` into arm ``index``'s running mean through ``means.write``.
+def _unknown_mask(mask) -> ValueError:
+    """What a camera policy's ``learn`` raises, changing nothing, for a mask outside its actions."""
+    return ValueError(f"mask {mask!r} is not one of the policy's camera subsets")
 
-    A sample that would make the mean non-finite raises ``ValueError`` and
-    changes nothing, which keeps every mean finite, as ``write`` needs.
+
+def _add_to_mean(means: _QRow, counts: list[int], arms: dict[int, int], mask: int,
+                 sample: float, name: str) -> None:
+    """Fold ``sample`` into the running mean of arm ``arms[mask]`` through ``means.write``.
+
+    A mask outside ``arms``, or a sample that would make the mean non-finite,
+    raises ``ValueError`` and changes nothing, so every mean stays finite.
     """
+    try:
+        index = arms[mask]
+    except KeyError:
+        raise _unknown_mask(mask) from None
     count = counts[index] + 1
     mean = means.values[index]
     value = mean + (sample - mean) / count
@@ -474,23 +462,23 @@ class DegradationDetector:
 class _QLearner:
     """The Q agents' shared state and update: table, alpha/epsilon and the degradation detector.
 
-    Each agent holds the ``_QRow`` handles of its table: ``_bind`` binds a
-    handle once its state's row is materialized, and until then the state
-    reads as the table's blank row, so materialization happens exactly
-    where ``epsilon_greedy`` and ``q_update`` would make it. ``select`` is
-    ``epsilon_greedy`` over the state's row, reading the row's greedy
-    action. ``learn`` looks up the action and the rows, then calls
-    ``_update``, which is ``q_update``: the same float expression, the same
-    ``ValueError`` when the new value is not finite, and ``_QRow.write`` in
-    place of ``q_update``'s rescan. A fixed agent stops there. An adaptive
-    agent pushes the reward to its ``DegradationDetector``; on degradation
-    it multiplies epsilon by eta_inc and alpha by lambda_inc, capped at
-    eps_max and alpha_max, and otherwise by eta_dec and lambda_dec, floored
-    at eps_min and alpha_min. Each clamp is the comparison ``min(value,
-    cap)`` or ``max(value, floor)`` makes, so the results equal the
-    builtins' bit for bit, NaN and -0.0 included. tests/test_policies.py
-    holds both agents to a loop of ``q_update``, ``detect_degradation`` and
-    ``tests/references.min_max_adapt_params``.
+    Each agent reads its rows from ``_rows``, its table's dict (not a copy),
+    keyed by its own states; an absent state reads as the blank row. A
+    greedy ``select`` and the first write materialize the row through
+    ``QTable._handle``, exactly where ``epsilon_greedy`` and ``q_update``
+    would. ``select`` is ``epsilon_greedy`` over the state's row, reading
+    the row's greedy action. ``learn`` looks up the action and the rows,
+    then calls ``_update``, which is ``q_update``: the same float
+    expression, the same ``ValueError`` when the new value is not finite,
+    and ``_QRow.write`` in place of ``q_update``'s rescan. A fixed agent
+    stops there. An adaptive agent pushes the reward to its
+    ``DegradationDetector``; on degradation it multiplies epsilon by eta_inc
+    and alpha by lambda_inc, capped at eps_max and alpha_max, and otherwise
+    by eta_dec and lambda_dec, floored at eps_min and alpha_min. Each clamp
+    is the comparison ``min(value, cap)`` or ``max(value, floor)`` makes, so
+    the results equal the builtins' bit for bit, NaN and -0.0 included.
+    tests/test_policies.py holds both agents to a loop of ``q_update``,
+    ``detect_degradation`` and ``tests/references.min_max_adapt_params``.
     """
 
     def __init__(self, n_actions: int, params: AgentParams):
@@ -498,6 +486,7 @@ class _QLearner:
         self.alpha = params.alpha
         self.epsilon = params.epsilon
         self.table = QTable(n_actions)
+        self._rows = self.table._rows
         self._blank = self.table._blank
         self._n_actions = n_actions
         self._selected = False
@@ -523,8 +512,8 @@ class _QLearner:
     def _update(self, row: _QRow, state, action: int, reward: float, following: float) -> None:
         """Write ``q_update``'s new value of ``action`` in ``state``'s ``row``, then adapt.
 
-        ``row`` may be the blank row, which the write materializes through
-        ``_bind``; ``following`` is the next state's maximum.
+        ``row`` may be the blank row, which the write materializes;
+        ``following`` is the next state's maximum.
         """
         if not self._selected:
             raise RuntimeError("learn() called before any select()")
@@ -533,7 +522,7 @@ class _QLearner:
         if not math.isfinite(value):
             raise ValueError(f"reward must be finite and keep the Q value finite, got {reward}")
         if row is self._blank:   # the first write materializes the row
-            row = self._bind(state, True)
+            row = self.table._handle(state)
         row.write(action, value)
         detector = self._detector
         if detector is None:
@@ -559,29 +548,24 @@ class QLearningCameraPolicy(_QLearner):
         super().__init__(len(space), params)
         self._actions = space.actions
         self._index = space.index
-        self._row: _QRow | None = None   # the STATE row, once materialized
-
-    def _bind(self, state: str, materialize: bool) -> _QRow:
-        """The ``state`` row, bound once materialized; the blank row before, unless ``materialize``."""
-        table = self.table
-        row = table._handle(state) if materialize else table._rows.get(state)
-        if row is None:
-            return self._blank
-        self._row = row
-        return row
+        self._key = self.STATE   # cheaper to read per frame than self.STATE
 
     def select(self, rng) -> int:
         self._selected = True
         epsilon = self.epsilon
         if epsilon > 0 and rng.random() < epsilon:
             return self._actions[rng.integers(self._n_actions)]
-        return self._actions[(self._row or self._bind(self.STATE, True)).greedy]
+        # The lookup first: a call to _handle on every greedy frame costs more.
+        return self._actions[(self._rows.get(self._key) or self.table._handle(self._key)).greedy]
 
     def learn(self, mask: int, reward: float, quality: float | None = None) -> None:
-        action = self._index[mask]
-        row = self._row or self._bind(self.STATE, False)
+        try:
+            action = self._index[mask]
+        except KeyError:
+            raise _unknown_mask(mask) from None
+        row = self._rows.get(self._key, self._blank)
         # Single abstract state: the bootstrap term is gamma * max over the same row.
-        self._update(row, self.STATE, action, reward, row.values[row.greedy])
+        self._update(row, self._key, action, reward, row.values[row.greedy])
 
 
 class RandomCameraPolicy:
@@ -630,7 +614,7 @@ class GreedyTripletCameraPolicy:
     def learn(self, mask: int, reward: float = 0.0, quality: float | None = None) -> None:
         if quality is None:
             return
-        _add_to_mean(self._means, self.counts, self.index[mask], quality, "quality")
+        _add_to_mean(self._means, self.counts, self.index, mask, quality, "quality")
 
 
 class BanditCameraPolicy:
@@ -658,7 +642,7 @@ class BanditCameraPolicy:
         return actions[self._means.greedy]
 
     def learn(self, mask: int, reward: float, quality: float | None = None) -> None:
-        _add_to_mean(self._means, self.counts, self.space.index[mask], reward, "reward")
+        _add_to_mean(self._means, self.counts, self.space.index, mask, reward, "reward")
 
 
 class ServerState(NamedTuple):
@@ -667,7 +651,7 @@ class ServerState(NamedTuple):
     n_selected: int
     prev_server: int
 
-    def key(self) -> str:
+    def __str__(self) -> str:
         return f"{self.n_selected}|{self.prev_server}"
 
 
@@ -679,36 +663,21 @@ class QLearningServerPolicy(_QLearner):
         if n_servers < 1:
             raise ConfigError(f"n_servers must be >= 1, got {n_servers}")
         self.n_servers = n_servers
-        self._rows: dict[ServerState, _QRow] = {}   # each materialized state's row
-
-    def _bind(self, state: ServerState, materialize: bool) -> _QRow:
-        """``state``'s row, bound once materialized; the blank row before, unless ``materialize``."""
-        table = self.table
-        key = state.key()
-        row = table._handle(key) if materialize else table._rows.get(key)
-        if row is None:
-            return self._blank
-        self._rows[state] = row
-        return row
 
     def select(self, frame: int, state: ServerState, rng) -> int:
-        row = self._rows.get(state) or self._bind(state, False)
         self._selected = True
         epsilon = self.epsilon
         if epsilon > 0 and rng.random() < epsilon:
             return int(rng.integers(self._n_actions))
-        if row is self._blank:
-            row = self._bind(state, True)
-        return row.greedy
+        return (self._rows.get(state) or self.table._handle(state)).greedy
 
     def learn(self, state: ServerState, action: int, reward: float, next_state: ServerState,
               total_latency_s: float | None = None) -> None:
         if not 0 <= action < self._n_actions:
             raise IndexError(f"server {action} outside [0, {self._n_actions})")
-        rows = self._rows
-        row = rows.get(state) or self._bind(state, False)
+        row = self._rows.get(state, self._blank)
         # A next state never materialized reads as the blank row: it bootstraps 0.0.
-        following = rows.get(next_state) or self._bind(next_state, False)
+        following = self._rows.get(next_state, self._blank)
         self._update(row, state, action, reward, following.values[following.greedy])
 
 

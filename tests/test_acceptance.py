@@ -131,8 +131,9 @@ def test_criterion_2_q_update_oracle():
                      alpha=alpha, gamma=0.0)
             key = (state, action)
             shadow[key] = (1.0 - alpha) * shadow.get(key, 0.0) + alpha * reward
+        rows = table.to_dict()["rows"]
         for (state, action), expected in shadow.items():
-            assert abs(table.value(state, action) - expected) <= 1e-9
+            assert abs(rows[state][action] - expected) <= 1e-9
 
         # Fixed point: repeated updates of one entry with constant reward and
         # s == s_next converge to r / (1 - gamma).
@@ -140,7 +141,7 @@ def test_criterion_2_q_update_oracle():
             table = QTable(1)
             for _ in range(3000):
                 q_update(table, "s", 0, r, "s", alpha=alpha, gamma=gamma)
-            assert abs(table.value("s", 0) - r / (1.0 - gamma)) <= 1e-6
+            assert abs(table.to_dict()["rows"]["s"][0] - r / (1.0 - gamma)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,20 @@ class TestRun:
         assert f"config error: {config}: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "gen-traces"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--frames", "0", "n_frames must lie in [1, inf), got 0"),
+        ("--seed", "-1", "seed must lie in [0, inf), got -1"),
+    ])
+    def test_bad_override_without_config_names_its_field(self, tmp_path, capsys, command, flag,
+                                                          value, message):
+        # The preset is validated as a --config file is, so the error names
+        # the top-level field, not the disruption section sized from it.
+        out = tmp_path / "out"
+        assert run_cli(command, flag, value, "--out", str(out)) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["traces_dir", "quality_trace_path"])
     def test_trace_path_of_the_wrong_kind_is_trace_error(self, tmp_path, capsys, key):
         # traces_dir names a file; quality.trace_path names a directory.

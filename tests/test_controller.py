@@ -186,8 +186,9 @@ class TestLearnerIntegration:
         policy = QLearningServerPolicy(4, small_config().resolved_server_agent())
         run_episode(small_config(server_policy="qlearning", n_frames=40),
                     server_policy=policy)
-        assert policy.table.rows   # visited states materialized
-        for key in policy.table.rows:
+        rows = policy.table.to_dict()["rows"]
+        assert rows   # visited states materialized
+        for key in rows:
             n_selected, prev = key.split("|")
             assert 2 <= int(n_selected) <= 5
             assert 0 <= int(prev) < 4

@@ -6,6 +6,8 @@ loop, so they pin the simulated results of the original implementation.
 The ``replay`` case (gen-traces, then run on the saved traces) was added
 later; its digests, trace files included, were recorded before the trace
 loader and the CSV writers were rewritten to check and format in bulk.
+The ``rig12`` case's digests were recorded before the Q agents' rows moved
+into one store per table.
 If a change alters the results on purpose, it says why and records the new
 digests, which ``python tests/test_golden.py`` prints.
 """
@@ -104,6 +106,27 @@ def run_replay_case(out: Path) -> None:
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
 
 
+def run_rig12_case(out: Path) -> None:
+    """The 12-camera, k_max 12 replay rig of CI's smoke test: gen-traces, then run.
+
+    Its server snapshot has states with 10 or more selected cameras, so the
+    rows' key order (``"10|0"`` before ``"2|0"``, as strings sort) is pinned.
+    """
+    config = out / "config.yaml"
+    config.write_text(
+        "n_frames: 200\nn_cameras: 12\nn_servers: 4\nk_min: 2\nk_max: 12\nseed: 1\n"
+        "camera_policy: adaptive_q\nserver_policy: adaptive_q\n"
+        f"traces_dir: {str(out)!r}\n"
+        "disruption:\n  correlation_groups: [[0, 1, 2], [3, 4], [5, 6, 7], [8, 9], [10, 11]]\n"
+        "quality:\n  camera_weights: [0.86, 0.84, 0.82, 0.8, 0.78, 0.76, 0.74, 0.72, 0.7, "
+        "0.68, 0.66, 0.64]\n"
+        "latency:\n  per_image_tx_ms: 250.0\n  recon_per_image_ms: 80.0\n"
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-traces", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+
+
 CASES = {
     **{f"camera-{p}": (lambda out, p=p: run_api_case(_camera_case(p), out))
        for p in CAMERA_POLICIES},
@@ -112,6 +135,7 @@ CASES = {
     "delay3": lambda out: run_api_case(_delayed_case(), out),
     "quality-trace": run_trace_case,
     "replay": run_replay_case,
+    "rig12": run_rig12_case,
 }
 
 GOLDEN = {
@@ -164,6 +188,14 @@ GOLDEN = {
         "qtable_server.json": "6090700af4181f4090f3ed489ac0b17daa3a7cce2c2dae71125c341322701e74",
         "cameras.csv": "0eb088b9919ffd0dce825b41de658eeee3c9527fcbf1d126ae7c7341894e3af4",
         "servers.csv": "628e4231af7cb2362b5f41c53d933f9b52c0e00e53c7bb4e76aae8dd359abb97",
+    },
+    "rig12": {
+        "frames.csv": "48ceb4281aab15b6dccb76567abed3c5597d32fdad559d2da42c090ad3a70ba8",
+        "summary.json": "ac7dc61882093c5da5dac1ca419a3dc75b57f53435d12d272541048882f20b02",
+        "qtable_camera.json": "f912ae5ecffe327b9f431c1bce1a4d173c428b40b4d0cee4e773f56a8fbdc0ae",
+        "qtable_server.json": "c6f2b7740431dab51558aa95f902d82fff3f301041c12391bbe556d0087a58ee",
+        "cameras.csv": "78e9d90ba29dd9e2a7400c24489bdee718042311363d9b355b54b6bceedabae1",
+        "servers.csv": "6d2a88b43f818ff8224823b5f584e1bd38e6dafad4857c03b1849a538e680b51",
     },
     "server-adaptive_q": {
         "frames.csv": "54d4ce0844876ae85a3901b5368721965d3e37e08e5b1362677c81adb7b42bdf",

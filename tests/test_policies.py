@@ -122,10 +122,12 @@ class TestEpsilonGreedy:
 
 class TestQTable:
     def test_absent_entries_read_zero(self):
+        # (s, 3) and the maximum of "anything" read 0.0: the new value is
+        # 0.0 + 0.5 * (1.0 + 0.5 * 0.0 - 0.0). The write materializes "s" as
+        # zeros; "anything", only read, stays absent.
         table = QTable(4)
-        assert table.value("anything", 3) == 0.0
-        assert table.max_value("anything") == 0.0
-        assert np.array_equal(table.row("s"), np.zeros(4))
+        assert q_update(table, "s", 3, 1.0, "anything", alpha=0.5, gamma=0.5) == 0.5
+        assert table.to_dict()["rows"] == {"s": [0.0, 0.0, 0.0, 0.5]}
 
     def test_snapshot_round_trip(self, tmp_path):
         table = QTable(3)
@@ -135,9 +137,9 @@ class TestQTable:
         table.save_json(path)
         loaded = QTable.load_json(path)
         assert loaded.n_actions == 3
-        assert loaded.rows.keys() == table.rows.keys()
-        for state in table.rows:
-            assert np.array_equal(loaded.rows[state], table.rows[state])
+        assert loaded.to_dict()["rows"].keys() == table.to_dict()["rows"].keys()
+        for state, cells in table.to_dict()["rows"].items():
+            assert loaded.to_dict()["rows"][state] == cells
         payload = json.loads(path.read_text())
         assert set(payload) == {"n_actions", "rows"}
 
@@ -155,7 +157,7 @@ class TestQTable:
         # zero-action rows included, loads back to the same table.
         table = QTable(n_actions)
         if data is None:
-            table.row("s")
+            table._handle("s")
         else:
             states = data.draw(st.lists(st.one_of(st.text(max_size=6), st.sampled_from(
                 ['"', "\\", "\n", "\x00", "\x7f", "é", "\u2028", "\U0001f600", "global"])),
@@ -163,7 +165,7 @@ class TestQTable:
             for state in states:
                 cells = data.draw(st.lists(self.SNAPSHOT_CELLS, min_size=n_actions,
                                            max_size=n_actions))
-                table._add(state, array("d", cells))
+                table._rows[state] = _QRow(array("d", cells))
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp) / "got.json", Path(tmp) / "want.json"
             table.save_json(got)
@@ -220,25 +222,26 @@ class TestQTable:
 
     def test_snapshot_load_computes_greedy_action(self):
         table = QTable.from_dict({"n_actions": 4, "rows": {"s": [-0.0, 2.0, 0.5, 2.0]}})
-        assert table.greedy("s") == 1
-        assert table.max_value("s") == 2.0
+        row = table._rows["s"]
+        assert row.greedy == 1
+        assert row.values[row.greedy] == 2.0
 
     def test_greedy_rescans_when_its_value_drops(self):
         table = QTable.from_dict({"n_actions": 3, "rows": {"s": [1.0, 1.0 - 1e-12, 0.5]}})
         q_update(table, "s", 0, 1.0 - 2e-12, "s2", alpha=1.0, gamma=0.0)
-        assert table.greedy("s") == 1
+        assert table._rows["s"].greedy == 1
 
     def test_rows_are_read_only(self):
+        # A row's view and the blank row an absent state reads as are
+        # read-only; reading materializes nothing, so "fresh" stays absent.
         table = QTable(3)
         q_update(table, "s", 1, 0.5, "s", 0.5, 0.0)
         with pytest.raises(ValueError, match="read-only"):
-            table.row("s")[0] = 1.0
+            table._rows["s"].view[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            table.rows["s"][2] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            table.row("fresh")[0] = 1.0
-        assert table.to_dict()["rows"] == {"fresh": [0.0] * 3, "s": [0.0, 0.25, 0.0]}
-        assert table.greedy("s") == 1
+            table._rows.get("fresh", table._blank).view[0] = 1.0
+        assert table.to_dict()["rows"] == {"s": [0.0, 0.25, 0.0]}
+        assert table._rows["s"].greedy == 1
 
     @given(st.data())
     def test_greedy_cache_matches_argmax(self, data):
@@ -266,13 +269,14 @@ class TestQTable:
             value += alpha * (target - value)
             row[action] = value
             assert q_update(table, state, action, reward, next_state, alpha, gamma) == value
-            assert "z" not in table.rows
-            assert table.rows.keys() == plain.keys()
+            assert "z" not in table._rows
+            assert table._rows.keys() == plain.keys()
             for key, values in plain.items():
-                assert np.array_equal(table.rows[key], values)
-                assert table.greedy(key) == int(values.argmax())
-                assert table.max_value(key) == values.max()
-                assert_row_invariant(table._rows[key])
+                row = table._rows[key]
+                assert np.array_equal(row.view, values)
+                assert row.greedy == int(values.argmax())
+                assert row.values[row.greedy] == values.max()
+                assert_row_invariant(row)
 
 
 class TestQUpdate:
@@ -296,7 +300,7 @@ class TestQUpdate:
         expected = 0.0
         for r in rewards:
             expected = (1 - alpha) * expected + alpha * r
-        assert table.value("s", 0) == pytest.approx(expected, abs=1e-12)
+        assert table.to_dict()["rows"]["s"][0] == pytest.approx(expected, abs=1e-12)
 
     def test_bootstrap_uses_next_state_max(self):
         table = QTable(2)
@@ -309,7 +313,7 @@ class TestQUpdate:
         table = QTable(2)
         with pytest.raises(ValueError):
             q_update(table, "s", 0, bad, "s", 0.5, 0.5)
-        assert table.rows == {}
+        assert table._rows == {}
 
     def test_overflowing_value_rejected(self):
         # 1.7e308 + 0.9 * 1.7e308 overflows: the second write would store inf,
@@ -322,7 +326,7 @@ class TestQUpdate:
         with pytest.raises(ValueError, match="finite"):
             q_update(table, "fresh", 1, 1e308, "s", 1.0, 0.9)
         assert repr(table.to_dict()) == before
-        assert table.greedy("s") == 0
+        assert table._rows["s"].greedy == 0
 
     @pytest.mark.parametrize("action", [-1, 2])
     def test_action_out_of_range_rejected(self, action):
@@ -334,7 +338,7 @@ class TestQUpdate:
             with pytest.raises(IndexError):
                 q_update(table, state, action, 0.5, "s", 1.0, 0.0)
         assert repr(table.to_dict()) == before
-        assert table.greedy("s") == 1
+        assert table._rows["s"].greedy == 1
 
 
 class TestAgentParams:
@@ -692,7 +696,9 @@ class TestAdaptation:
         # agent has no detector), the selections
         # before it, and each of the agent's rows: greedy action and bound.
         # Rewards near +-1e308 make new values overflow, which both reject.
-        # Tables may start from a snapshot; a camera may have 4083 actions.
+        # The reference table may start from a snapshot, keyed by the states'
+        # strings, and the agent from the same rows, keyed by its states; a
+        # camera may have 4083 actions.
         window = data.draw(st.integers(1, 6))
         params = AgentParams(alpha=data.draw(st.sampled_from([0.05, 0.5, 1.0])),
                              gamma=data.draw(st.sampled_from([0.0, 0.1, 0.9])),
@@ -707,7 +713,7 @@ class TestAdaptation:
             agent = QLearningServerPolicy(3, params)
             states = st.builds(ServerState, st.integers(0, 2), st.integers(0, 2))
             moves = st.tuples(states, states, st.none() | st.integers(0, 2), states, rewards)
-            keys = [ServerState(k, p).key() for k in range(3) for p in range(3)]
+            keys = [ServerState(k, p) for k in range(3) for p in range(3)]
         else:
             space = enumerate_actions(*data.draw(st.sampled_from([(3, 1, 3), (12, 2, 12)])))
             agent = QLearningCameraPolicy(space, params)
@@ -718,9 +724,10 @@ class TestAdaptation:
         cells = np.random.default_rng(data.draw(st.integers(0, 9))).choice(
             [0.0, -0.0, 0.5, 1.0, -1.0], size=(len(keys), n)).tolist()
         loaded = {key: row for key, row in zip(keys, cells) if data.draw(st.booleans())}
-        table = QTable.from_dict({"n_actions": n, "rows": loaded})
-        agent.table = QTable.from_dict({"n_actions": n, "rows": loaded})
-        agent._blank = agent.table._blank
+        table = QTable.from_dict({"n_actions": n, "rows": {str(key): row
+                                                           for key, row in loaded.items()}})
+        for key, row in loaded.items():
+            agent._rows[key] = _QRow(array("d", row))
         agent_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
 
         def reference_select(key):
@@ -728,15 +735,15 @@ class TestAdaptation:
             # which then shows in the snapshot.
             if epsilon > 0 and rng.random() < epsilon:
                 return int(rng.integers(table.n_actions))
-            return epsilon_greedy(table.row(key), 0.0, rng)
+            return epsilon_greedy(table._handle(key).view, 0.0, rng)
 
         alpha, epsilon = params.alpha, params.epsilon
         history = []
         for seen, state, action, next_state, reward in data.draw(st.lists(moves, max_size=40)):
             if server:
-                key, next_key = state.key(), next_state.key()
+                key, next_key = str(state), str(next_state)
                 chosen = agent.select(0, seen, agent_rng)
-                assert chosen == reference_select(seen.key())
+                assert chosen == reference_select(str(seen))
                 action = chosen if action is None else action
                 learn = lambda: agent.learn(state, action, reward, next_state)   # noqa: E731
             else:
@@ -759,8 +766,9 @@ class TestAdaptation:
                         alpha, epsilon, params,
                         detect_degradation(history, window, params.degradation_drop))
             assert repr(agent.table.to_dict()) == repr(table.to_dict())
-            greedy = {row: int(values.argmax()) for row, values in table.rows.items()}
-            assert {row: agent.table.greedy(row) for row in greedy} == greedy
+            rows = table.to_dict()["rows"]
+            greedy = {key: int(np.argmax(values)) for key, values in rows.items()}
+            assert {str(key): row.greedy for key, row in agent._rows.items()} == greedy
             for row in agent.table._rows.values():
                 assert_row_invariant(row)
             assert (agent.alpha, agent.epsilon) == (alpha, epsilon)
@@ -779,7 +787,7 @@ class TestAdaptation:
             state = ServerState(2, 0)
             agent.select(0, state, rng)
             learn = lambda action, reward: agent.learn(state, action, reward, state)   # noqa: E731
-            key = state.key()
+            key = state
         else:
             space = enumerate_actions(3, 2, 3)
             agent = QLearningCameraPolicy(space, params)
@@ -792,8 +800,9 @@ class TestAdaptation:
                  (2, 0.5, 0)]   # falls onto the bound: the rescan finds the first 0.5
         for action, reward, greedy in steps:
             learn(action, reward)
-            assert agent.table.greedy(key) == greedy == int(agent.table.row(key).argmax())
-            assert_row_invariant(agent.table._rows[key])
+            row = agent.table._rows[key]
+            assert row.greedy == greedy == int(row.view.argmax())
+            assert_row_invariant(row)
 
     @pytest.mark.parametrize("server", [False, True])
     def test_overflowing_learn_changes_nothing(self, server):
@@ -817,7 +826,7 @@ class TestAdaptation:
         if not server:
             with pytest.raises(ValueError, match="finite"):
                 learn(fresh, math.inf)
-            assert agent.table.rows == {}
+            assert agent.table._rows == {}
         learn(here, 1.7e308)
         before = learner_state(agent)
         for state in (here, fresh):
@@ -890,7 +899,7 @@ class TestCameraQLearning:
         for _ in range(200):
             mask = agent.select(rng)
             agent.learn(mask, 1.0)
-        assert agent.table.max_value(agent.STATE) == pytest.approx(1.0 / 0.9, abs=1e-3)
+        assert max(agent.table.to_dict()["rows"][agent.STATE]) == pytest.approx(1.0 / 0.9, abs=1e-3)
 
     def test_prefers_higher_reward_action(self):
         # Band from a 20-seed pilot: share of the 0.9-reward action was
@@ -924,14 +933,15 @@ class TestCameraQLearning:
         agent.learn(space.actions[0], -1.0)   # falls below 0.1: one rescan
         assert rescans == [0]
         assert agent.select(rng) == space.actions[7]
-        assert agent._row.bound == 0.0   # the exact runner-up: the untouched actions
+        assert agent._rows[agent.STATE].bound == 0.0   # the exact runner-up: the untouched actions
 
     def test_zero_initialized_before_any_learn(self):
         space = enumerate_actions(5, 2, 5)
         agent = QLearningCameraPolicy(space, AgentParams())
-        assert agent.table.rows == {} or not agent.table.row(agent.STATE).any()
+        assert agent.table.to_dict()["rows"] == {}
+        row = agent._rows.get(agent.STATE, agent._blank)
         for action in range(len(space)):
-            assert agent.table.value(agent.STATE, action) == 0.0
+            assert row.values[action] == 0.0
 
     def test_deterministic_sequence_for_fixed_seed(self):
         def run():
@@ -954,13 +964,24 @@ class TestServerQLearning:
         assert agent.select(0, ServerState(3, 1), np.random.default_rng(0)) == 0
 
     def test_state_keys_distinct(self):
-        assert ServerState(3, 1).key() != ServerState(4, 1).key()
-        assert ServerState(3, 1).key() != ServerState(3, 2).key()
+        assert str(ServerState(3, 1)) == "3|1"
+        assert str(ServerState(3, 1)) != str(ServerState(4, 1))
+        assert str(ServerState(3, 1)) != str(ServerState(3, 2))
         agent = QLearningServerPolicy(2, AgentParams(epsilon=0.0))
         agent.select(0, ServerState(3, 1), np.random.default_rng(0))
         agent.learn(ServerState(3, 1), 1, 0.8, ServerState(3, 1))
-        assert agent.table.value(ServerState(3, 1).key(), 1) > 0
-        assert agent.table.value(ServerState(4, 1).key(), 1) == 0.0
+        rows = agent.table.to_dict()["rows"]
+        assert rows[str(ServerState(3, 1))][1] > 0
+        assert str(ServerState(4, 1)) not in rows   # absent: its values read 0.0
+
+    def test_rows_live_in_the_tables_one_dict(self):
+        # Keyed by the agent's states; a snapshot names each by its string.
+        agent = QLearningServerPolicy(2, AgentParams(epsilon=0.0))
+        assert agent._rows is agent.table._rows
+        agent.select(0, ServerState(10, 1), np.random.default_rng(0))
+        agent.learn(ServerState(2, 0), 1, 0.8, ServerState(10, 1))
+        assert list(agent.table._rows) == [ServerState(10, 1), ServerState(2, 0)]
+        assert list(agent.table.to_dict()["rows"]) == ["10|1", "2|0"]
 
     def test_avoids_budget_breaking_server(self):
         # Spiked server 2 (not the zero-init tie-break target); clean servers
@@ -998,7 +1019,7 @@ class TestServerQLearning:
                 agent.learn(here, action, 1.0, state)
             assert learner_state(agent) == before
         assert agent.select(0, state, rng) == 1
-        assert_row_invariant(agent.table._rows[state.key()])
+        assert_row_invariant(agent.table._rows[state])
 
 
 class TestRandomPolicy:
@@ -1239,6 +1260,34 @@ class TestBandit:
                 policy.learn(mask, r)
                 total += r
             assert best - total / 2000 < 0.1
+
+
+class TestUnknownMask:
+    """A camera policy's ``learn`` on a mask outside its actions raises ValueError, changing nothing."""
+
+    SPACE = enumerate_actions(5, 2, 4)   # 31, all five cameras, is not among them
+
+    @staticmethod
+    def state(policy) -> tuple:
+        if isinstance(policy, _QLearner):   # a fixed agent's rates never move
+            return learner_state(policy) if policy._detector else repr(policy.table.to_dict())
+        return repr(policy._means.values.tolist()), list(policy.counts), policy._means.greedy
+
+    @pytest.mark.parametrize("make", [
+        lambda space: QLearningCameraPolicy(space, AgentParams()),
+        lambda space: QLearningCameraPolicy(space, AgentParams(adaptive=True)),
+        lambda space: BanditCameraPolicy(space),
+        lambda space: GreedyTripletCameraPolicy(5),
+    ], ids=["qlearning", "adaptive_q", "bandit", "greedy3"])
+    def test_mask_outside_the_actions_raises_and_changes_nothing(self, make):
+        policy = make(self.SPACE)
+        mask = policy.select(np.random.default_rng(0))
+        policy.learn(mask, 0.5, 0.5)
+        before = self.state(policy)
+        for bad in (0b11111, 0b1, 1 << 5):
+            with pytest.raises(ValueError, match=f"^mask {bad} is not one of the policy's"):
+                policy.learn(bad, 0.5, 0.5)
+            assert self.state(policy) == before
 
 
 class TestRoundRobin:
