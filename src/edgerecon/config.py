@@ -14,10 +14,10 @@ from pathlib import Path
 import yaml
 
 from .disruption import DisruptionParams
-from .environment import MIN_VIEWS, LatencyModel, QualityModel, QualitySpec
+from .environment import MIN_VIEWS, LatencyModel, QualityModel, QualitySpec, missing_subsets
 from .errors import (PATH, ConfigError, Integer, OneOf, Optional, Real, Section, check_fields,
                      load_section, setting)
-from .masks import MAX_CAMERAS, bitstring, subsets
+from .masks import MAX_CAMERAS, bitstring, mask_from_str
 from .metrics import RewardWeights, Thresholds
 from .policies import AgentParams
 
@@ -83,14 +83,10 @@ class ExperimentConfig:
                 QualityModel.synthetic(self.n_cameras, table=quality.table)
             except ConfigError as exc:
                 raise ConfigError(f"quality.table: {exc}") from exc
-            # Outages can leave any subset of MIN_VIEWS..k_max selected cameras.
-            for mask in subsets(self.n_cameras, MIN_VIEWS, self.k_max):
-                key = bitstring(mask, self.n_cameras)
-                if key not in quality.table:
-                    raise ConfigError(
-                        f"quality.table has no entry for subset {key}; it must "
-                        f"cover every subset of {MIN_VIEWS}..k_max={self.k_max} cameras"
-                    )
+            short, gaps = missing_subsets(map(mask_from_str, quality.table), self.n_cameras, self.k_max)
+            if short:
+                raise ConfigError(f"quality.table has no entry for subset {bitstring(gaps[0], self.n_cameras)}; "
+                                  f"it must cover every subset of {MIN_VIEWS}..k_max={self.k_max} cameras")
         elif quality.mode == "synthetic":
             quality.synthetic_weights(self.n_cameras)
         if self.disruption is not None:

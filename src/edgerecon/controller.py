@@ -95,12 +95,7 @@ def build_traces(config: ExperimentConfig) -> tuple[CameraTrace, ServerLatencyTr
 def build_quality_model(config: ExperimentConfig) -> QualityModel:
     spec = config.quality
     if spec.mode == "trace":
-        model = load_quality_trace(spec.trace_path, config.n_cameras)
-        if len(model.table) < config.n_frames:
-            raise ConfigError(
-                f"quality trace covers {len(model.table)} frames, need {config.n_frames}"
-            )
-        return model
+        return load_quality_trace(spec.trace_path, config.n_cameras, config.k_max)
     return QualityModel.synthetic(
         config.n_cameras,
         noise_sd=spec.noise_sd,
@@ -173,13 +168,9 @@ def run_episode(config: ExperimentConfig,
                 for k in range(n_cameras + 1)] for s in range(n_servers)]
     recon_score = [[max(0.0, 1.0 - r / phi_recon) for r in row] for row in recon_s]
     # Base quality of frame t and integer mask m is quality_rows[t][m]; every
-    # subset the engine can look up has an entry (checked by config.validate
-    # and load_quality_trace). A synthetic table is one list that every frame
-    # shares. A replayed trace stays in its array: a memoryview per frame
-    # also yields Python floats, without n_frames x 2**n_cameras of them.
-    table = quality_model.table
-    quality_rows = ([memoryview(row) for row in table[:n_frames]] if table.ndim == 2
-                    else [table.tolist()] * n_frames)
+    # subset the engine can look up has an entry (missing_subsets, checked by
+    # config.validate and, for a trace, load_quality_trace).
+    quality_rows = quality_model.rows(n_frames)
     noise = None
     if quality_model.noise_sd > 0:
         # Frames with >= MIN_VIEWS surviving views take the next value in

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .csvio import (all_finite_nonnegative, finite_nonnegative, load_matrix, rea
                     write_csv_rows)
 from .errors import (PATH, ConfigError, ListOf, OneOf, Optional, Real, Table, TraceSchemaError,
                      check_fields, setting)
-from .masks import bitstring, mask_from_str, require_camera_cap
+from .masks import MAX_CAMERAS, bitstring, mask_from_str, require_camera_cap
 from .metrics import FrameOutcome, Thresholds, reliability
 
 # Two overlapping views are the hard floor for triangulating any geometry.
@@ -167,6 +167,16 @@ class QualityModel:
             dense[int(key, 2)] = value
         return cls(dense, noise_sd)
 
+    def rows(self, n_frames: int) -> list:
+        """Base quality by frame, then mask: the synthetic row that every frame shares, or a
+        memoryview per trace frame, which yields Python floats without building them all."""
+        table = self.table
+        if table.ndim == 1:
+            return [table.tolist()] * n_frames
+        if len(table) < n_frames:
+            raise ConfigError(f"quality trace covers {len(table)} frames, need {n_frames}")
+        return [memoryview(row) for row in table[:n_frames]]
+
     def base_quality(self, frame: int, effective: int) -> float:
         row = self.table
         if row.ndim == 2:
@@ -259,14 +269,24 @@ def step(frame: int, selected: int, server: int, camera_trace, server_trace,
     )
 
 
-def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
+def missing_subsets(masks, n_cameras: int, k_max: int) -> tuple[int, list[int]]:
+    """How many subsets a run can look up (MIN_VIEWS..k_max cameras) are not among ``masks``,
+    and the first three, ascending. They are counted, not listed, so a wide header fails fast."""
+    present = {mask for mask in masks if MIN_VIEWS <= mask.bit_count() <= k_max}
+    short = sum(math.comb(n_cameras, k) for k in range(MIN_VIEWS, k_max + 1)) - len(present)
+    gaps = (mask for mask in range(1 << n_cameras)
+            if MIN_VIEWS <= mask.bit_count() <= k_max and mask not in present)
+    return short, list(islice(gaps, min(short, 3)))
+
+
+def load_quality_trace(path, n_cameras: int | None = None, k_max: int | None = None) -> QualityModel:
     """Load a per-frame, per-subset quality trace CSV.
 
-    Header is `frame` followed by one bitstring column per subset; every
-    subset with at least MIN_VIEWS cameras must be present so lookups can
-    never miss at runtime. Every cell must be a finite quality >= 0. Once
-    the header passes, the rows are read by ``csvio.load_matrix``, in one
-    bulk pass when it accepts the file, as a servers.csv is.
+    Header is `frame` followed by one bitstring column per subset, of one width
+    of at most MAX_CAMERAS bits, naming every subset of MIN_VIEWS..k_max cameras
+    (by default, of two or more). Every cell must be a finite quality >= 0. Once
+    the header passes, ``csvio.load_matrix`` reads the rows, in one bulk pass
+    when it accepts the file.
     """
     with closing(read_csv_rows(path)) as reader:
         header = next(reader, None)
@@ -282,19 +302,12 @@ def load_quality_trace(path, n_cameras: int | None = None) -> QualityModel:
         width = widths.pop()
         if n_cameras is not None and width != n_cameras:
             raise TraceSchemaError(f"{path}: mask columns have {width} bits, expected {n_cameras}")
-        # Count the required subsets the header names before listing any,
-        # so a wide header fails without enumerating 2**width subsets.
-        present = set(masks)
-        need = (1 << width) - 1 - width
-        have = sum(1 for m in present if m.bit_count() >= MIN_VIEWS)
-        if have < need:
-            missing = islice((m for m in count() if m.bit_count() >= MIN_VIEWS
-                              and m not in present), 3)
-            listing = ", ".join(bitstring(m, width) for m in missing)
-            raise TraceSchemaError(
-                f"{path}: missing {need - have} subset columns: {listing}"
-                + (", ..." if need - have > 3 else "")
-            )
+        if width > MAX_CAMERAS:   # before a table of 2**width columns is built
+            raise TraceSchemaError(f"{path}: mask columns have {width} bits, over {MAX_CAMERAS}")
+        short, gaps = missing_subsets(masks, width, width if k_max is None else k_max)
+        if short:   # from the header alone, before any row is read or table built
+            listing = ", ".join([bitstring(mask, width) for mask in gaps] + ["..."] * (short > 3))
+            raise TraceSchemaError(f"{path}: missing {short} subset columns: {listing}")
     values = load_matrix(path, lambda _width: header, float, all_finite_nonnegative,
                          finite_nonnegative("quality"))
     if not len(values):
@@ -312,18 +325,16 @@ def write_quality_trace(path, model: QualityModel, n_frames: int) -> None:
     One column per subset the table has an entry for, in bitstring order.
     """
     table = model.table
-    present = np.flatnonzero(~np.isnan(table if table.ndim == 1 else table[0]))
-    values = table[..., present]
-    if values.ndim == 1:
-        # Every frame repeats the one row, so its cells are formatted once.
-        cells = repeat(",".join(map(repr, values.tolist())), n_frames)
-    elif len(values) < n_frames:
-        raise ConfigError(f"quality trace covers {len(values)} frames, need {n_frames}")
-    else:
-        # A replayed row holds up to 2**n_cameras cells; they are joined a frame at a time.
-        cells = (",".join(map(repr, row.tolist())) for row in values[:n_frames])
+    present = np.flatnonzero(~np.isnan(table if table.ndim == 1 else table[0])).tolist()
+
+    def cells(row) -> str:
+        return ",".join([repr(row[mask]) for mask in present])
+
+    # A synthetic model's frames share one row, so its cells are formatted once.
+    lines = (repeat(cells(model.rows(1)[0]), n_frames) if table.ndim == 1
+             else map(cells, model.rows(n_frames)))
     columns = [map(str, range(n_frames))]
-    if present.size:   # a table without entries writes the frame column alone
-        columns.append(cells)
+    if present:   # a table without entries writes the frame column alone
+        columns.append(lines)
     write_csv_rows(path, ["frame"] + [bitstring(mask, model.n_cameras) for mask in present],
                    columns)

@@ -267,13 +267,10 @@ def write_frame_log(log: FrameLog, path) -> None:
     ))
 
 
-def read_frame_log(path) -> list[dict]:
-    """Parse a per-frame CSV log back into typed row dicts.
-
-    Every row must have exactly the header's columns (TraceSchemaError); a
-    cell that does not parse is a TraceFormatError. Both give the line.
-    """
-    rows = []
+def _frame_log_rows(path):
+    """Yield each row of a per-frame CSV log as typed cells, in FRAME_LOG_HEADER order. A row
+    without exactly the header's columns is a TraceSchemaError, a cell that does not parse a
+    TraceFormatError; both give the line."""
     with closing(read_csv_rows(path)) as reader:
         header = next(reader, None)
         if header is None or tuple(header) != FRAME_LOG_HEADER:
@@ -284,18 +281,21 @@ def read_frame_log(path) -> list[dict]:
                                        f"expected {len(FRAME_LOG_HEADER)}")
             frame, mask, server, *floats, reliable = row
             try:
-                rows.append({"frame": int(frame), "mask": mask, "server": int(server),
-                             **dict(zip(FRAME_LOG_HEADER[3:9], map(float, floats))),
-                             "reliable": int(reliable)})
+                cells = (int(frame), mask, int(server), *map(float, floats), int(reliable))
             except ValueError as exc:
                 raise TraceFormatError(str(exc), line=lineno) from exc
-    return rows
+            yield cells
+
+
+def read_frame_log(path) -> list[dict]:
+    """Parse a per-frame CSV log back into typed row dicts, keyed by FRAME_LOG_HEADER."""
+    return [dict(zip(FRAME_LOG_HEADER, row)) for row in _frame_log_rows(path)]
 
 
 def recount_reliability(path) -> tuple[int, int]:
     """Second-pass recount of (reliable frames, total frames) from a frame log."""
-    rows = read_frame_log(path)
-    return sum(r["reliable"] for r in rows), len(rows)
+    flags = [row[-1] for row in _frame_log_rows(path)]
+    return sum(flags), len(flags)
 
 
 def write_summary(stats: RunStats, path) -> None:

@@ -1,10 +1,12 @@
 import json
 import time
+from math import nan
 
 import pytest
 
 from edgerecon.cli import (EXIT_CONFIG_ERROR, EXIT_OK, EXIT_TRACE_ERROR, main)
 from edgerecon.environment import QualityModel, write_quality_trace
+from edgerecon.masks import bitstring
 from edgerecon.metrics import read_frame_log, recount_reliability
 
 
@@ -294,6 +296,37 @@ class TestRun:
                               + f"quality:\n  mode: trace\n  trace_path: {trace}\n")
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == code
         assert message in capsys.readouterr().err
+
+    @staticmethod
+    def k_max_3_trace_config(tmp_path, name, max_views=5, drop=()):
+        """A k_max: 3 config replaying the synthetic 5-camera trace from its columns of
+        at most ``max_views`` cameras, less those named in ``drop``."""
+        table = QualityModel.synthetic(5).table
+        table[[mask for mask in range(32)
+               if mask.bit_count() > max_views or bitstring(mask, 5) in drop]] = nan
+        write_quality_trace(tmp_path / f"{name}.csv", QualityModel(table), n_frames=120)
+        return write_config(tmp_path, SMALL_CONFIG + "k_max: 3\nquality:\n  mode: trace\n"
+                            f"  trace_path: {tmp_path / name}.csv\n", f"{name}.yaml")
+
+    def test_trace_without_columns_above_k_max_replays_alike(self, tmp_path):
+        # A k_max: 3 run only looks up subsets of 2 or 3 cameras, so a trace
+        # of just those columns replays as the full trace does.
+        full = self.k_max_3_trace_config(tmp_path, "full")
+        narrow = self.k_max_3_trace_config(tmp_path, "narrow", max_views=3)
+        assert "11110" in (tmp_path / "full.csv").read_text()
+        assert "11110" not in (tmp_path / "narrow.csv").read_text()
+        for config, out in ((full, "out-full"), (narrow, "out-narrow")):
+            assert run_cli("run", "--config", str(config), "--out", str(tmp_path / out)) == EXIT_OK
+        for name in ("frames.csv", "qtable_camera.json", "qtable_server.json"):
+            assert ((tmp_path / "out-full" / name).read_bytes()
+                    == (tmp_path / "out-narrow" / name).read_bytes())
+
+    def test_trace_missing_a_reachable_column_is_trace_error(self, tmp_path, capsys):
+        config = self.k_max_3_trace_config(tmp_path, "quality", max_views=3, drop=("01011",))
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == EXIT_TRACE_ERROR
+        err = capsys.readouterr().err
+        assert f"trace error: {tmp_path / 'quality.csv'}: missing 1 subset columns: 01011\n" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_trace_dir_is_trace_error(self, tmp_path):
         config = write_config(tmp_path, SMALL_CONFIG + "traces_dir: /nonexistent/nowhere\n")

@@ -126,9 +126,11 @@ def columns(log) -> str:
     return repr(vars(log))
 
 
-def write_quality_trace_csv(path: Path, n_cameras: int, n_frames: int, seed: int) -> None:
+def write_quality_trace_csv(path: Path, n_cameras: int, n_frames: int, seed: int,
+                            max_views: int) -> None:
+    """Random qualities for every subset of MIN_VIEWS..max_views cameras."""
     rng = np.random.default_rng(seed)
-    masks = subsets(n_cameras, MIN_VIEWS, n_cameras)
+    masks = subsets(n_cameras, MIN_VIEWS, max_views)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame"] + [bitstring(m, n_cameras) for m in masks])
@@ -179,20 +181,23 @@ def small_configs(draw):
         n_bump_events=draw(st.integers(0, 2)), mean_bump_len=draw(st.integers(2, 8)),
         n_spike_events=draw(st.integers(0, 2)), mean_spike_len=5,
     )
-    return config, draw(st.booleans())
+    # A replayed trace instead: every column, or only those k_max can reach
+    # (a trace needs at least one column).
+    trace = draw(st.sampled_from([None, n, max(k_max, MIN_VIEWS)]))
+    return config, trace
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_configs())
 def test_engine_matches_reference_loop(case):
-    config, trace_quality = case
+    config, trace_views = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        if trace_quality:
+        if trace_views is not None:
             config.quality.mode = "trace"
             config.quality.trace_path = str(tmp / "quality.csv")
             write_quality_trace_csv(tmp / "quality.csv", config.n_cameras, config.n_frames,
-                                    config.seed)
+                                    config.seed, trace_views)
         ref_cam, ref_srv = policies(config)
         cam, srv = policies(config)
         try:

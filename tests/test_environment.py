@@ -1,11 +1,17 @@
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edgerecon.config import ExperimentConfig
+from edgerecon.controller import build_quality_model
 from edgerecon.disruption import CameraTrace, DisruptionParams, ServerLatencyTrace, generate_camera_trace
-from edgerecon.environment import (MIN_VIEWS, LatencyModel, QualityModel, load_quality_trace,
-                                   step, write_quality_trace)
+from edgerecon.environment import (MIN_VIEWS, LatencyModel, QualityModel, QualitySpec,
+                                   load_quality_trace, missing_subsets, step, write_quality_trace)
 from edgerecon.errors import ConfigError, TraceFormatError, TraceSchemaError
 from edgerecon.masks import MAX_CAMERAS, bitstring, mask_from_str, subsets
 from edgerecon.metrics import Thresholds
@@ -304,6 +310,8 @@ class TestQualityTraceIO:
             assert loaded.base_quality(2, mask) == model.base_quality(0, mask)
 
     def test_missing_column_listed(self, tmp_path):
+        # The loader rejects a trace without a column that k_max reaches (by
+        # default, any subset of two or more cameras), and keeps it otherwise.
         model = QualityModel.synthetic(5)
         path = tmp_path / "quality.csv"
         write_quality_trace(path, model, n_frames=2)
@@ -312,17 +320,24 @@ class TestQualityTraceIO:
         drop = header.index("01011")
         rows = [",".join(v for i, v in enumerate(line.split(",")) if i != drop) for line in lines]
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(TraceSchemaError, match="01011"):
-            load_quality_trace(path)
+        message = f"^{re.escape(str(path))}: missing 1 subset columns: 01011$"
+        for k_max in (None, 5, 3):
+            with pytest.raises(TraceSchemaError, match=message):
+                load_quality_trace(path, k_max=k_max)
+        loaded = load_quality_trace(path, k_max=2)
+        config = ExperimentConfig(quality=QualitySpec(mode="trace", trace_path=str(path)))
+        with pytest.raises(TraceSchemaError, match=message):
+            build_quality_model(config)
+        config.k_max = 2
+        assert build_quality_model(config).table.tobytes() == loaded.table.tobytes()
 
     def test_wide_header_fails_fast(self, tmp_path):
-        # One 40-bit column cannot cover 2**40 - 41 required subsets; the
-        # loader must say so without enumerating them.
+        # A header wider than MAX_CAMERAS fails before a table of 2**width
+        # columns is built.
         path = tmp_path / "quality.csv"
         path.write_text("frame," + "1" * 40 + "\n0,1.0\n")
         start = time.perf_counter()
-        with pytest.raises(TraceSchemaError, match="missing 1099511627734 subset columns: "
-                           + "0" * 38 + "11, " + "0" * 37 + "101, " + "0" * 37 + "110, ...$"):
+        with pytest.raises(TraceSchemaError, match=f"40 bits, over {MAX_CAMERAS}$"):
             load_quality_trace(path)
         assert time.perf_counter() - start < 1.0
 
@@ -386,6 +401,58 @@ class TestQualityTraceIO:
         write_quality_trace(path, model, n_frames=2)
         with pytest.raises(TraceSchemaError, match="bits"):
             load_quality_trace(path, n_cameras=5)
+
+
+class TestQualityCoverage:
+    """missing_subsets: the one rule that a table or trace has an entry for every
+    subset a run can look up, MIN_VIEWS..k_max cameras."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_missing_is_every_reachable_subset_without_an_entry(self, data):
+        n_cameras = data.draw(st.integers(1, 6))
+        present = data.draw(st.sets(st.integers(0, (1 << n_cameras) - 1)))
+        k_max = data.draw(st.integers(1, n_cameras))
+        # Every reachable subset without an entry, listed in full.
+        gaps = [mask for mask in range(1 << n_cameras)
+                if MIN_VIEWS <= mask.bit_count() <= k_max and mask not in present]
+        assert missing_subsets(present, n_cameras, k_max) == (len(gaps), gaps[:3])
+        # Config validation applies the rule to quality.table and names the first gap.
+        table = {bitstring(mask, n_cameras): float(mask.bit_count()) for mask in present}
+        config = ExperimentConfig(n_cameras=n_cameras, k_min=1, k_max=k_max,
+                                  quality=QualitySpec(table=table))
+        if gaps:
+            with pytest.raises(ConfigError, match=f"no entry for subset {bitstring(gaps[0], n_cameras)};"):
+                config.validate()
+        else:
+            config.validate()
+
+    def test_trace_error_counts_and_lists_the_reachable_gaps(self, tmp_path):
+        # At MAX_CAMERAS cameras a k_max: 3 run needs 190 pairs and 1140
+        # triples. A trace of one triple lacks 1329 of them, and the error
+        # lists the first three in bitstring order. It is raised from the
+        # header: the 10,000 rows are not read, and no table of 2**20
+        # columns per frame (80 GB) is built.
+        path = tmp_path / "quality.csv"
+        path.write_text(f"frame,{bitstring(0b111, MAX_CAMERAS)}\n"
+                        + "".join(f"{t},1.0\n" for t in range(10_000)))
+        config = ExperimentConfig(n_frames=1, n_cameras=MAX_CAMERAS, k_max=3,
+                                  quality=QualitySpec(mode="trace", trace_path=str(path)))
+        pair, triple = "0" * (MAX_CAMERAS - 2), "0" * (MAX_CAMERAS - 3)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceSchemaError, match=f"^{re.escape(str(path))}: missing 1329 "
+                               f"subset columns: {pair}11, {triple}101, {triple}110, ...$"):
+                build_quality_model(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20
+        # By default, every subset of two or more cameras but the one present.
+        with pytest.raises(TraceSchemaError, match=f" missing {2**MAX_CAMERAS - MAX_CAMERAS - 2} "):
+            load_quality_trace(path)
 
 
 class TestTraceIntegration:

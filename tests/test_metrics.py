@@ -255,6 +255,14 @@ class TestFrameLogIO:
         assert total == 5
         assert reliable == sum(log.reliable)
 
+    def test_recount_matches_read_frame_log(self, tmp_path):
+        log = make_log(2 * 1024 + 3)
+        path = tmp_path / "frames.csv"
+        write_frame_log(log, path)
+        rows = read_frame_log(path)
+        assert recount_reliability(path) == (sum(r["reliable"] for r in rows), len(rows))
+        assert recount_reliability(path) == (sum(log.reliable), 2 * 1024 + 3)
+
     @pytest.mark.parametrize("index, edit, error", [
         (3, lambda row: [row + ",1"], TraceSchemaError),
         (2, lambda row: [row.rpartition(",")[0]], TraceSchemaError),

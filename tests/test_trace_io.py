@@ -15,7 +15,6 @@ import tempfile
 import warnings
 from array import array
 from contextlib import closing
-from itertools import count, islice
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +28,7 @@ from edgerecon.csvio import _WRITE_BLOCK, read_csv_rows
 from edgerecon.disruption import CameraTrace, ServerLatencyTrace, load_traces, save_traces
 from edgerecon.environment import MIN_VIEWS, QualityModel, load_quality_trace, write_quality_trace
 from edgerecon.errors import ConfigError, TraceFormatError, TraceSchemaError
-from edgerecon.masks import bitstring, mask_from_str
+from edgerecon.masks import MAX_CAMERAS, bitstring, mask_from_str
 from edgerecon.metrics import FRAME_LOG_HEADER, FrameLog, write_frame_log
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -319,17 +318,13 @@ def reference_quality_table(path):
         if len(widths) != 1:
             raise TraceSchemaError(f"{path}: mask columns have mixed lengths {sorted(widths)}")
         width = widths.pop()
-        present = set(masks)
-        need = (1 << width) - 1 - width
-        have = sum(1 for m in present if m.bit_count() >= MIN_VIEWS)
-        if have < need:
-            missing = islice((m for m in count() if m.bit_count() >= MIN_VIEWS
-                              and m not in present), 3)
-            listing = ", ".join(bitstring(m, width) for m in missing)
-            raise TraceSchemaError(
-                f"{path}: missing {need - have} subset columns: {listing}"
-                + (", ..." if need - have > 3 else "")
-            )
+        if width > MAX_CAMERAS:
+            raise TraceSchemaError(f"{path}: mask columns have {width} bits, over {MAX_CAMERAS}")
+        # By default every subset of two or more cameras needs a column.
+        gaps = [m for m in range(1 << width) if m.bit_count() >= MIN_VIEWS and m not in masks]
+        if gaps:
+            listing = ", ".join([bitstring(m, width) for m in gaps[:3]] + ["..."] * (len(gaps) > 3))
+            raise TraceSchemaError(f"{path}: missing {len(gaps)} subset columns: {listing}")
         cells = array("d")    # every quality cell, row after row
         n_rows = 0
         for lineno, row in enumerate(reader, start=2):
@@ -414,6 +409,7 @@ QUALITY_EDGE_CASES = {
     "repeated column": (b"01,11", b"11,11"),
     "missing subset": (b"01,11", b"01,10"),
     "mixed widths": (b"01,11", b"01,111"),
+    "header wider than MAX_CAMERAS": (b"01,11", b"0" * MAX_CAMERAS + b"1," + b"1" * (MAX_CAMERAS + 1)),
     "column not a bitstring": (b"01,11", b"01,1x"),
     "frame header misspelt": (b"frame,", b"Frame,"),
     "header only, quality": (QUALITY_TRACE, b"frame,01,11\r\n"),
